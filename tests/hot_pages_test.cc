@@ -13,6 +13,12 @@
 #include "src/core/backtrack.h"
 #include "src/snapshot/cow_engine.h"
 
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer) && !defined(__SANITIZE_THREAD__)
+#define __SANITIZE_THREAD__ 1
+#endif
+#endif
+
 namespace lw {
 namespace {
 
@@ -117,6 +123,48 @@ TEST(HotPagesTest, ExtractedCowEngineHotCycleDirect) {
     EXPECT_EQ(arena.PageAddr(5)[0], 11);
   }
   EXPECT_LE(store.stats().live_blobs, 1u);  // only the store-held zero blob remains
+}
+
+// Restore side of prediction: unchanged hot pages are memcmp'd and skipped
+// (pages_restore_skipped), changed ones are copied.
+TEST(CowRestoreHotSkipTest, UnchangedHotPagesAreComparedNotCopied) {
+#ifdef __SANITIZE_THREAD__
+  GTEST_SKIP() << "CoW SIGSEGV protocol conflicts with TSan signal interposition";
+#endif
+  GuestArena::Layout layout;
+  layout.arena_bytes = 2ull << 20;
+  layout.stack_bytes = 256 * 1024;
+  layout.guard_bytes = 16 * kPageSize;
+  PageStore store;
+  GuestArena arena(layout);
+  SnapshotEngineStats stats;
+  SnapshotEngine::Env env;
+  env.arena = &arena;
+  env.store = &store;
+  env.stats = &stats;
+  env.hot_page_limit = 8;
+  env.owner = 1;
+  auto engine = MakeSnapshotEngine(SnapshotMode::kCow, env);
+
+  // Page 10 dirtied every round goes hot after kHotPromoteAfter consecutive
+  // dirty snapshots.
+  std::vector<Snapshot> snaps(6);
+  for (int round = 0; round < 6; ++round) {
+    std::memset(arena.PageAddr(10), round + 1, kPageSize);
+    engine->Materialize(snaps[round]);
+  }
+  ASSERT_GT(stats.hot_promotions, 0u);
+
+  // Live memory already equals snaps[5]; the hot page is memcmp'd and skipped.
+  const uint64_t restored_before = stats.pages_restored;
+  engine->Restore(snaps[5]);
+  EXPECT_EQ(stats.pages_restored, restored_before);
+  EXPECT_GE(stats.pages_restore_skipped, 1u);
+
+  // Restoring down the chain must copy the (now divergent) hot page.
+  engine->Restore(snaps[0]);
+  EXPECT_EQ(stats.pages_restored, restored_before + 1);
+  EXPECT_EQ(arena.PageAddr(10)[0], 1u);
 }
 
 TEST(HotPagesTest, DisabledPredictionGivesSameResults) {
