@@ -4,18 +4,15 @@
 //    parent, which can be leveraged to encode the state in a space-efficient
 //    manner."
 //
-// Compares the two PageMap representations across snapshot-tree shapes:
+// Measures the radix PageMap across snapshot-tree shapes:
 //
-//   Share/kind/dirty   — publishing a snapshot's map (flat = O(pages) vector
-//                        copy; radix = O(1) root copy after O(dirty) path
-//                        copies during the mutation phase)
-//   Diff/kind/dirty    — restore-time page diff between sibling snapshots
-//                        (flat = O(pages) scan; radix skips shared subtrees)
-//   TreeBytes/kind     — map structure bytes across a 256-snapshot chain
+//   Share/dirty   — publishing a snapshot's map: O(1) root copy after
+//                   O(dirty) path copies during the mutation phase
+//   Diff/dirty    — restore-time page diff between sibling snapshots
+//                   (skips shared subtrees)
+//   TreeBytes     — map structure bytes across a 256-snapshot chain
 //
-// Expected shape: flat wins share/diff for small maps or huge dirty ratios;
-// radix wins asymptotically on big, sparsely-dirtied address spaces — the
-// GB-scale address spaces the paper targets.
+// DESIGN.md's E7 section records the flat-vs-radix ablation behind the choice.
 
 #include <benchmark/benchmark.h>
 
@@ -30,8 +27,8 @@ namespace {
 
 constexpr uint32_t kPages = 16384;  // a 64 MiB arena's worth of 4 KiB pages
 
-lw::PageMap MakeBase(lw::PageMapKind kind, lw::PageStore* store) {
-  lw::PageMap map(kind, kPages);
+lw::PageMap MakeBase(lw::PageStore* store) {
+  lw::PageMap map(kPages);
   lw::PageRef zero = store->ZeroPage();
   for (uint32_t page = 0; page < kPages; ++page) {
     map.Set(page, zero);
@@ -40,10 +37,9 @@ lw::PageMap MakeBase(lw::PageMapKind kind, lw::PageStore* store) {
 }
 
 void BM_Share(benchmark::State& state) {
-  auto kind = state.range(0) == 0 ? lw::PageMapKind::kFlat : lw::PageMapKind::kRadix;
-  uint32_t dirty = static_cast<uint32_t>(state.range(1));
+  uint32_t dirty = static_cast<uint32_t>(state.range(0));
   lw::PageStore store;
-  lw::PageMap base = MakeBase(kind, &store);
+  lw::PageMap base = MakeBase(&store);
   uint8_t page_bytes[lw::kPageSize] = {1};
   lw::Rng rng(7);
 
@@ -57,21 +53,13 @@ void BM_Share(benchmark::State& state) {
     lw::PageMap published = working;  // the share
     benchmark::DoNotOptimize(published.Get(0));
   }
-  state.SetLabel(kind == lw::PageMapKind::kFlat ? "flat" : "radix");
 }
-BENCHMARK(BM_Share)
-    ->Args({0, 1})
-    ->Args({0, 64})
-    ->Args({0, 4096})
-    ->Args({1, 1})
-    ->Args({1, 64})
-    ->Args({1, 4096});
+BENCHMARK(BM_Share)->Arg(1)->Arg(64)->Arg(4096);
 
 void BM_Diff(benchmark::State& state) {
-  auto kind = state.range(0) == 0 ? lw::PageMapKind::kFlat : lw::PageMapKind::kRadix;
-  uint32_t dirty = static_cast<uint32_t>(state.range(1));
+  uint32_t dirty = static_cast<uint32_t>(state.range(0));
   lw::PageStore store;
-  lw::PageMap base = MakeBase(kind, &store);
+  lw::PageMap base = MakeBase(&store);
   uint8_t page_bytes[lw::kPageSize] = {1};
   lw::Rng rng(8);
 
@@ -88,21 +76,13 @@ void BM_Diff(benchmark::State& state) {
     });
     benchmark::DoNotOptimize(differing);
   }
-  state.SetLabel(kind == lw::PageMapKind::kFlat ? "flat" : "radix");
   state.counters["differing_pages"] = static_cast<double>(differing);
 }
-BENCHMARK(BM_Diff)
-    ->Args({0, 1})
-    ->Args({0, 64})
-    ->Args({0, 4096})
-    ->Args({1, 1})
-    ->Args({1, 64})
-    ->Args({1, 4096});
+BENCHMARK(BM_Diff)->Arg(1)->Arg(64)->Arg(4096);
 
 // Retained-structure bytes across a chain of snapshots, each dirtying 16 pages:
-// flat duplicates the whole table per snapshot; radix shares spines.
+// consecutive maps share every spine they did not touch.
 void BM_TreeBytes(benchmark::State& state) {
-  auto kind = state.range(0) == 0 ? lw::PageMapKind::kFlat : lw::PageMapKind::kRadix;
   lw::PageStore store;
   uint8_t page_bytes[lw::kPageSize] = {1};
   lw::Rng rng(9);
@@ -110,7 +90,7 @@ void BM_TreeBytes(benchmark::State& state) {
   size_t retained = 0;
   for (auto _ : state) {
     std::vector<lw::PageMap> chain;
-    lw::PageMap working = MakeBase(kind, &store);
+    lw::PageMap working = MakeBase(&store);
     for (int snapshot = 0; snapshot < 256; ++snapshot) {
       for (int i = 0; i < 16; ++i) {
         working.Set(rng.Next() % kPages, store.Publish(page_bytes));
@@ -118,16 +98,15 @@ void BM_TreeBytes(benchmark::State& state) {
       chain.push_back(working);
     }
     retained = 0;
-    std::unordered_set<const void*> seen;  // dedupes radix nodes shared across maps
+    std::unordered_set<const void*> seen;  // dedupes nodes shared across maps
     for (const lw::PageMap& map : chain) {
       retained += map.UniqueStructureBytes(&seen);
     }
     benchmark::DoNotOptimize(retained);
   }
-  state.SetLabel(kind == lw::PageMapKind::kFlat ? "flat" : "radix");
   state.counters["retained_map_bytes"] = static_cast<double>(retained);
 }
-BENCHMARK(BM_TreeBytes)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TreeBytes)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

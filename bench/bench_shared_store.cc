@@ -248,18 +248,15 @@ BENCHMARK(BM_QueensFleetThreaded)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
 
-// --- E11: parallel materialization *inside* one session ------------------------
+// --- E11: the queens fixture inside one session ---------------------------------
 //
-// The intra-session twin of BM_QueensFleetThreaded: the same queens fixture
-// (page-aligned trails, every solution parked), but instead of splitting
-// sessions across threads, one session splits each *materialize* across a
-// worker team (SessionOptions::parallel_materialize_workers). The full-copy
-// engine makes the snapshot the whole cost — every non-guard page is
-// published on every guess — so the sweep isolates the publish loop's
-// scaling; parity (92 solutions) and pages/snapshot must be invariant in the
-// worker count (the structure is bit-identical to serial by contract).
-void BM_QueensParallelMaterialize(benchmark::State& state) {
-  const uint32_t workers = static_cast<uint32_t>(state.range(0));
+// The single-session twin of BM_QueensFleetThreaded: the same queens fixture
+// (page-aligned trails, every solution parked) on one session under the
+// full-copy mode, which makes the snapshot the whole cost — every non-guard
+// page is published on every guess. Parity (92 solutions) must hold. The row
+// keeps E11's process-CPU/real-time measurement so its recorded baseline
+// stays comparable.
+void BM_QueensMaterialize(benchmark::State& state) {
   uint64_t snap_ns = 0;
   uint64_t snapshots = 0;
   uint64_t pages = 0;
@@ -270,7 +267,6 @@ void BM_QueensParallelMaterialize(benchmark::State& state) {
     options.arena_bytes = 2ull << 20;
     options.guest_stack_bytes = 256 * 1024;
     options.snapshot_mode = lw::SnapshotMode::kFullCopy;
-    options.parallel_materialize_workers = workers;
     options.output = [](std::string_view) {};
     lw::BacktrackSession session(options);
     if (!session.Run(&QueensGuest, &n).ok()) {
@@ -283,7 +279,7 @@ void BM_QueensParallelMaterialize(benchmark::State& state) {
     pages = session.stats().pages_materialized;
   }
   if (!parity_ok) {
-    state.SkipWithError("parity violated under parallel materialization");
+    state.SkipWithError("parity violated");
     return;
   }
   if (snapshots != 0) {
@@ -291,11 +287,7 @@ void BM_QueensParallelMaterialize(benchmark::State& state) {
     state.counters["pages/snapshot"] = static_cast<double>(pages) / snapshots;
   }
 }
-BENCHMARK(BM_QueensParallelMaterialize)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
+BENCHMARK(BM_QueensMaterialize)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
@@ -378,8 +370,10 @@ void BM_SpillFaultback(benchmark::State& state) {
     state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations() * pages);
+  // kIsRate|kInvert yields seconds per unit of the counted value; counting
+  // fault-backs in units of 1e9 turns that into nanoseconds per fault-back.
   state.counters["ns/faultback"] = benchmark::Counter(
-      static_cast<double>(state.iterations() * pages),
+      static_cast<double>(state.iterations() * pages) * 1e-9,
       static_cast<benchmark::Counter::Flags>(benchmark::Counter::kIsRate |
                                              benchmark::Counter::kInvert));
   state.counters["faultbacks"] = static_cast<double>(faultbacks);
@@ -387,13 +381,11 @@ void BM_SpillFaultback(benchmark::State& state) {
 }
 BENCHMARK(BM_SpillFaultback)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
 
-// The queens parallel-materialize fixture under a RAM budget tight enough to
-// drive the full evict → compress → spill → drop ladder: the wall-clock
-// overhead of spilling on the park path, against BM_QueensParallelMaterialize
-// as its unbudgeted baseline. Parity (92 solutions) must survive paging parked
+// The queens fixture under a RAM budget tight enough to drive the full
+// evict → compress → spill → drop ladder: the wall-clock overhead of spilling
+// on the park path, against BM_QueensMaterialize as its unbudgeted baseline. Parity (92 solutions) must survive paging parked
 // solutions out to disk.
-void BM_QueensParallelMaterializeSpill(benchmark::State& state) {
-  const uint32_t workers = static_cast<uint32_t>(state.range(0));
+void BM_QueensMaterializeSpill(benchmark::State& state) {
   ScopedSpillDir dir;
   if (!dir.ok()) {
     state.SkipWithError("mkdtemp failed");
@@ -418,7 +410,6 @@ void BM_QueensParallelMaterializeSpill(benchmark::State& state) {
     options.arena_bytes = 2ull << 20;
     options.guest_stack_bytes = 256 * 1024;
     options.snapshot_mode = lw::SnapshotMode::kFullCopy;
-    options.parallel_materialize_workers = workers;
     options.snapshot_byte_budget = 256 * 1024;  // well under the parked population
     options.store = store;
     options.output = [](std::string_view) {};
@@ -440,9 +431,7 @@ void BM_QueensParallelMaterializeSpill(benchmark::State& state) {
   state.counters["faultbacks"] = static_cast<double>(faultbacks);
   state.counters["resident_bytes"] = static_cast<double>(resident_bytes);
 }
-BENCHMARK(BM_QueensParallelMaterializeSpill)
-    ->Arg(1)
-    ->Arg(4)
+BENCHMARK(BM_QueensMaterializeSpill)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->MeasureProcessCPUTime();

@@ -14,10 +14,13 @@
 //                            kernel supports soft-dirty (see the probe below)
 //   AdaptiveSnapshot/D/A   — per-checkpoint mechanism selection from observed
 //                            dirty rate; should track the best fixed engine
-//   {Cow,Incremental,FullCopy,Adaptive,SoftDirty}Restore/D/A/W — restore-heavy
-//                            shape (fanout restores per snapshot) with a
-//                            W-thread worker team; reports ns/restore and the
-//                            mprotect-coalescing counters (E13)
+//   {Cow,Incremental}SnapshotSerial/D/A — E11's serial endpoint: the CoW and
+//                            incremental rows at D=512, timed on process CPU
+//                            with real-time iteration, as E11 recorded them
+//   {Cow,Incremental,FullCopy,Adaptive,SoftDirty}Restore/D/A — restore-heavy
+//                            shape (fanout restores per snapshot); reports
+//                            ns/restore and the mprotect-coalescing counters
+//                            (E13)
 //   {Cow,Incremental,Adaptive}ReleaseStorm/N/B — N-sibling checkpoint release
 //                            storm, timed on the release phase only; B=1
 //                            reclaims through the O(spine) walk +
@@ -79,7 +82,7 @@ void DirtyGuest(void* arg) {
   }
 }
 
-void RunEngine(benchmark::State& state, lw::SnapshotMode mode, uint32_t workers = 0) {
+void RunEngine(benchmark::State& state, lw::SnapshotMode mode) {
   DirtyArgs args;
   args.dirty_pages = static_cast<uint32_t>(state.range(0));
   size_t arena_mb = static_cast<size_t>(state.range(1));
@@ -96,7 +99,6 @@ void RunEngine(benchmark::State& state, lw::SnapshotMode mode, uint32_t workers 
     lw::SessionOptions options;
     options.arena_bytes = arena_mb << 20;
     options.snapshot_mode = mode;
-    options.parallel_materialize_workers = workers;
     options.output = [](std::string_view) {};
     lw::BacktrackSession session(options);
     lw::Status status = session.Run(&DirtyGuest, &args);
@@ -165,43 +167,20 @@ BENCHMARK(BM_IncrementalSnapshot)
     ->Args({512, 64})
     ->Unit(benchmark::kMillisecond);
 
-// E11 — the same engines with the session's parallel-materialize worker team
-// (ROADMAP: "publish the dirty set with multiple threads"). Args are
-// {dirty_pages, arena_mb, workers}; rows are comparable against the serial
-// families above at the same first two args. Fat dirty sets (512 pages) are
-// the regime where fanning the publish loop out pays; the incremental rows
-// additionally parallelize the ∝-arena content scan.
-void BM_CowSnapshotParallel(benchmark::State& state) {
-  RunEngine(state, lw::SnapshotMode::kCow, static_cast<uint32_t>(state.range(2)));
-}
-BENCHMARK(BM_CowSnapshotParallel)
-    ->Args({512, 16, 1})
-    ->Args({512, 16, 2})
-    ->Args({512, 16, 4})
-    ->Args({512, 16, 8})
+// E11's serial endpoint. These rows keep E11's process-CPU/real-time
+// measurement so their recorded baseline numbers stay comparable.
+void BM_CowSnapshotSerial(benchmark::State& state) { RunEngine(state, lw::SnapshotMode::kCow); }
+BENCHMARK(BM_CowSnapshotSerial)
+    ->Args({512, 16})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
 
-void BM_IncrementalSnapshotParallel(benchmark::State& state) {
-  RunEngine(state, lw::SnapshotMode::kIncremental, static_cast<uint32_t>(state.range(2)));
+void BM_IncrementalSnapshotSerial(benchmark::State& state) {
+  RunEngine(state, lw::SnapshotMode::kIncremental);
 }
-BENCHMARK(BM_IncrementalSnapshotParallel)
-    ->Args({512, 16, 1})
-    ->Args({512, 16, 2})
-    ->Args({512, 16, 4})
-    ->Args({512, 16, 8})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
-
-void BM_FullCopySnapshotParallel(benchmark::State& state) {
-  RunEngine(state, lw::SnapshotMode::kFullCopy, static_cast<uint32_t>(state.range(2)));
-}
-BENCHMARK(BM_FullCopySnapshotParallel)
-    ->Args({8, 16, 1})
-    ->Args({8, 16, 4})
-    ->Iterations(1)
+BENCHMARK(BM_IncrementalSnapshotSerial)
+    ->Args({512, 16})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
@@ -231,7 +210,7 @@ void BM_SoftDirtySnapshot(benchmark::State& state) {
 }
 
 // E13 — restore-heavy rows (the backtrack half). Args are {dirty_pages,
-// arena_mb, workers}. The guest snapshots once per round and then takes
+// arena_mb}; rows keep E13's process-CPU/real-time measurement. The guest snapshots once per round and then takes
 // `fanout` restores off that node, each rolling back a freshly dirtied
 // D-page window — restores dominate the session (fanout× more restores than
 // snapshots), which is the shape deep symx chains and checkpoint-per-revision
@@ -286,7 +265,6 @@ void RunRestoreEngine(benchmark::State& state, lw::SnapshotMode mode, uint32_t r
     lw::SessionOptions options;
     options.arena_bytes = arena_mb << 20;
     options.snapshot_mode = mode;
-    options.parallel_materialize_workers = static_cast<uint32_t>(state.range(2));
     options.output = [](std::string_view) {};
     lw::BacktrackSession session(options);
     lw::Status status = session.Run(&RestoreHeavyGuest, &args);
@@ -317,10 +295,8 @@ void BM_CowRestore(benchmark::State& state) {
   RunRestoreEngine(state, lw::SnapshotMode::kCow, 16, 8);
 }
 BENCHMARK(BM_CowRestore)
-    ->Args({64, 16, 1})
-    ->Args({64, 16, 4})
-    ->Args({512, 16, 1})
-    ->Args({512, 16, 4})
+    ->Args({64, 16})
+    ->Args({512, 16})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
@@ -329,8 +305,7 @@ void BM_IncrementalRestore(benchmark::State& state) {
   RunRestoreEngine(state, lw::SnapshotMode::kIncremental, 16, 8);
 }
 BENCHMARK(BM_IncrementalRestore)
-    ->Args({512, 16, 1})
-    ->Args({512, 16, 4})
+    ->Args({512, 16})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
@@ -340,8 +315,7 @@ void BM_FullCopyRestore(benchmark::State& state) {
   RunRestoreEngine(state, lw::SnapshotMode::kFullCopy, 8, 4);
 }
 BENCHMARK(BM_FullCopyRestore)
-    ->Args({8, 16, 1})
-    ->Args({8, 16, 4})
+    ->Args({8, 16})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
@@ -351,8 +325,7 @@ void BM_AdaptiveRestore(benchmark::State& state) {
   RunRestoreEngine(state, lw::SnapshotMode::kAdaptive, 16, 8);
 }
 BENCHMARK(BM_AdaptiveRestore)
-    ->Args({64, 16, 1})
-    ->Args({64, 16, 4})
+    ->Args({64, 16})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
@@ -558,8 +531,7 @@ int main(int argc, char** argv) {
         ->Args({512, 64})
         ->Unit(benchmark::kMillisecond);
     benchmark::RegisterBenchmark("BM_SoftDirtyRestore", &BM_SoftDirtyRestore)
-        ->Args({64, 16, 1})
-        ->Args({64, 16, 4})
+        ->Args({64, 16})
         ->Unit(benchmark::kMillisecond)
         ->UseRealTime()
         ->MeasureProcessCPUTime();

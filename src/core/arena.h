@@ -23,7 +23,7 @@
 // Signal state is installed *lazily*: constructing an arena only registers it
 // for fault lookup; the process-global SIGSEGV handler and the constructing
 // thread's sigaltstack are installed on the first SetCowEnabled(true). An
-// application that only ever runs fault-free engines (fullcopy, incremental,
+// application that only ever runs fault-free modes (fullcopy, incremental,
 // soft-dirty) never has its SIGSEGV disposition or signal stacks touched —
 // see the NeedsSignalProtocol() invariant in src/snapshot/engine.h.
 //
@@ -48,8 +48,7 @@ namespace lw {
 // Installs (once per thread) the alternate signal stack the SIGSEGV handler
 // runs on. SetCowEnabled(true) calls it for the enabling thread; sessions
 // whose engine needs the signal protocol call it on every Drive (covering
-// cross-thread hand-off), and the parallel materializer on worker startup.
-// Cheap after the first call. Fault-free configurations never call it.
+// cross-thread hand-off). Cheap after the first call. Fault-free configurations never call it.
 void EnsureThreadSignalStack();
 
 class GuestArena {
@@ -91,7 +90,7 @@ class GuestArena {
   uint32_t guard_lo() const { return guard_lo_; }
   uint32_t guard_hi() const { return guard_hi_; }
 
-  // CoW mode switch. When disabled (the fault-free engines), the arena stays
+  // CoW mode switch. When disabled (the fault-free modes), the arena stays
   // fully writable and no faults are taken. The first enable installs the
   // process-global SIGSEGV handler + this thread's sigaltstack, then protects
   // everything; disabling makes all non-guard pages writable again. Engines

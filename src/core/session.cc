@@ -90,24 +90,12 @@ BacktrackSession::BacktrackSession(SessionOptions options)
   env.store = store_.get();
   env.owner = store_owner_;
   env.stats = &stats_;
-  env.page_map_kind = options_.page_map_kind;
-  // Hot-page prediction only makes sense under CoW; other engines ignore it.
-  env.hot_page_limit =
-      options_.snapshot_mode == SnapshotMode::kCow ? options_.hot_page_limit : 0;
+  env.hot_page_limit = options_.hot_page_limit;  // the engine applies it under kCow only
   engine_ = MakeSnapshotEngine(options_.snapshot_mode, env);
-
-  if (options_.parallel_materialize_workers > 1) {
-    ParallelMaterializerOptions pm_options;
-    pm_options.workers = options_.parallel_materialize_workers;
-    // Fault-free engines must leave process signal state untouched, so their
-    // worker teams skip sigaltstack installation entirely.
-    pm_options.needs_signal_stack = engine_->NeedsSignalProtocol();
-    materializer_ = std::make_unique<ParallelMaterializer>(pm_options);
-  }
 
   // Heap construction happens *after* the engine establishes its invariant: in
   // CoW mode its writes fault and enter the dirty set like any guest write; in
-  // the scan-based engines they are picked up by the first materialization.
+  // the fault-free modes they are picked up by the first materialization.
   heap_ = GuestHeap::Init(arena_.heap_base(), arena_.heap_bytes());
 }
 
@@ -193,8 +181,8 @@ Status BacktrackSession::Resume(const Checkpoint& checkpoint, const void* msg, s
   return Drive([this, snap, msg, len] {
     RestoreTo(*snap);
     if (len > 0) {
-      // A plain memcpy: under the CoW engine the write faults and the handler
-      // marks the mailbox pages dirty; under the scan-based engines the next
+      // A plain memcpy: under the faults source the write faults and the
+      // handler marks the mailbox pages dirty; under the other sources the next
       // materialization detects the changed bytes. Either way it behaves
       // exactly as a guest write would.
       std::memcpy(snap->mailbox, msg, len);
@@ -211,7 +199,7 @@ Status BacktrackSession::Drive(const std::function<void()>& first_transfer) {
   // The session may have been constructed on a different thread (e.g. a pool
   // dispatching to workers); the CoW fault handler needs this thread's
   // alternate signal stack in place before any guest write can fault. Skipped
-  // — not merely unused — for fault-free engines (fullcopy, incremental,
+  // — not merely unused — for fault-free modes (fullcopy, incremental,
   // soft-dirty): those sessions never perturb process signal state.
   if (engine_->NeedsSignalProtocol()) {
     EnsureThreadSignalStack();
@@ -327,7 +315,6 @@ void BacktrackSession::EvaluateExtension(Extension ext) {
 }
 
 void BacktrackSession::SwapToGuest(ucontext_t* target) {
-  engine_->OnGuestResume();
   in_guest_ = true;
   // Swap the guest's allocation hooks in for the duration of guest execution;
   // scheduler-side allocations (snapshot materialization, strategy frontier)
@@ -339,7 +326,7 @@ void BacktrackSession::SwapToGuest(ucontext_t* target) {
   SetAllocHooks(host_hooks);
   in_guest_ = false;
   // The guest just parked: drop ASan's redzone poison from its stack frames so
-  // the engines' whole-page reads/writes of the arena are clean (no-op outside
+  // the engine's whole-page reads/writes of the arena are clean (no-op outside
   // sanitized builds).
   arena_.UnpoisonShadow();
 }
@@ -374,9 +361,7 @@ void BacktrackSession::EnforceBudget() {
 
 void BacktrackSession::MaterializeInto(const SnapshotRef& snap) {
   StopWatch sw;
-  MaterializeContext ctx;
-  ctx.parallel = materializer_.get();
-  engine_->Materialize(*snap, ctx);
+  engine_->Materialize(*snap);
   snap->aux.reserve(attachments_.size());
   for (SessionAttachment* attachment : attachments_) {
     snap->aux.push_back(attachment->Capture());
@@ -388,9 +373,7 @@ void BacktrackSession::MaterializeInto(const SnapshotRef& snap) {
 
 void BacktrackSession::RestoreTo(const Snapshot& snap) {
   StopWatch sw;
-  RestoreContext ctx;
-  ctx.parallel = materializer_.get();
-  engine_->Restore(snap, ctx);
+  engine_->Restore(snap);
   for (size_t i = 0; i < attachments_.size(); ++i) {
     attachments_[i]->Restore(i < snap.aux.size() ? snap.aux[i] : nullptr);
   }

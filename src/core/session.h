@@ -20,9 +20,9 @@
 //     incremental solver service of §3.2.
 //
 // The snapshot mechanics themselves — how a page image is captured and
-// reinstated — live behind the SnapshotEngine interface (src/snapshot/engine.h),
-// selected by SessionOptions::snapshot_mode. The session is pure search
-// orchestration: it never touches mprotect, hot-page prediction, or page copies.
+// reinstated — live in the SnapshotEngine (src/snapshot/engine.h), configured
+// by SessionOptions::snapshot_mode. The session is pure search orchestration:
+// it never touches mprotect, hot-page prediction, or page copies.
 
 #ifndef LWSNAP_SRC_CORE_SESSION_H_
 #define LWSNAP_SRC_CORE_SESSION_H_
@@ -45,7 +45,6 @@
 #include "src/snapshot/engine.h"
 #include "src/snapshot/page_map.h"
 #include "src/snapshot/page_store.h"
-#include "src/snapshot/parallel_materializer.h"
 #include "src/util/status.h"
 
 namespace lw {
@@ -63,13 +62,13 @@ class SessionAttachment {
 struct SessionOptions {
   size_t arena_bytes = 64ull << 20;
   size_t guest_stack_bytes = 1ull << 20;
-  PageMapKind page_map_kind = PageMapKind::kRadix;
-  // Snapshot backend (src/snapshot/engine.h): kCow (default), kFullCopy,
-  // kIncremental, kSoftDirty, kAdaptive. kSoftDirty requires kernel support —
-  // callers must check SoftDirtyTracker::Supported() first (construction
-  // aborts otherwise). kAdaptive works everywhere: it re-picks the cheapest
-  // mechanism per checkpoint and simply omits the pagemap mechanism on hosts
-  // without soft-dirty.
+  // Snapshot configuration (src/snapshot/engine.h): which dirty source the
+  // one engine uses — kCow (default), kFullCopy, kIncremental, kSoftDirty, or
+  // kAdaptive. kSoftDirty requires kernel support — callers must check
+  // SoftDirtyTracker::Supported() first (construction aborts otherwise).
+  // kAdaptive works everywhere: it re-picks the cheapest source per
+  // checkpoint and simply omits the pagemap source on hosts without
+  // soft-dirty.
   SnapshotMode snapshot_mode = SnapshotMode::kCow;
   StrategyConfig strategy;
 
@@ -96,21 +95,6 @@ struct SessionOptions {
   // frontier, so sharers should agree on one budget value (or use 0).
   uint64_t snapshot_byte_budget = 0;
 
-  // Parallel materialization inside this session (the ROADMAP's "publish the
-  // dirty set with multiple threads"): a session-owned worker team of this
-  // many threads (the session thread participates) publishes each snapshot's
-  // page set to the internally synchronized store; the incremental engine's
-  // content scan fans out too. The same team serves Restore: every engine's
-  // restore copy loop fans out over it (the CoW path batch-unprotects the
-  // coalesced restore runs first, so workers never fault). Snapshot
-  // structures and restored memory are bit-identical to serial (see
-  // src/snapshot/parallel_materializer.h). The CoW SIGSEGV protocol stays on
-  // the session thread — only page publishing and restore copies
-  // parallelize. 0/1 = serial (no team). Fleets should split
-  // cores between services and these intra-session workers (see
-  // ServicePool<S> in src/service/pool.h).
-  uint32_t parallel_materialize_workers = 0;
-
   // Batched snapshot release (default): reclaiming a snapshot walks only the
   // radix spine this session uniquely owns, harvests the dying page refs into
   // a drain buffer, and hands them to PageStore::ReleaseBatch — one shard-lock
@@ -121,12 +105,12 @@ struct SessionOptions {
   // release-storm ablation.
   bool batched_release = true;
 
-  // Hot-page prediction (CoW engine): a page dirtied in enough consecutive
-  // snapshots is left permanently writable; snapshots memcmp it and restores
-  // memcpy it eagerly, skipping the SIGSEGV + 2×mprotect round trip that
-  // dominates fine-grained workloads (the stand-in for Dune's cheap ring-0
-  // faults). At most this many pages are hot at once; 0 disables prediction.
-  // Ignored by the other engines.
+  // Hot-page prediction (kCow only): a page dirtied in enough snapshots is
+  // left permanently writable; snapshots memcmp it and restores memcpy it
+  // eagerly, skipping the SIGSEGV + 2×mprotect round trip that dominates
+  // fine-grained workloads (the stand-in for Dune's cheap ring-0 faults). At
+  // most this many pages are hot at once; 0 disables prediction. Every other
+  // mode, kAdaptive included, runs with prediction off.
   uint32_t hot_page_limit = 64;
 
   // Output policy. Default (false): guest emissions are forwarded to `output`
@@ -262,9 +246,6 @@ class BacktrackSession : public GuessExecutor {
   std::shared_ptr<PageStore> store_;
   uint32_t store_owner_ = 0;  // this session's PageStore owner id
   std::unique_ptr<SnapshotEngine> engine_;  // holds the current map's page refs
-  // Worker team for parallel materialization (null = serial); declared after
-  // store_/engine_ so in-flight publish state can never outlive either.
-  std::unique_ptr<ParallelMaterializer> materializer_;
 
   GuestHeap* heap_ = nullptr;  // lives inside the arena
 

@@ -81,11 +81,9 @@ struct ServicePoolOptions {
   // `service.tuning.snapshot_mode` applies to every service in the fleet —
   // kSoftDirty fleets are safe: concurrent soft-dirty sessions coordinate
   // their process-wide clear_refs writes through SoftDirtyTracker's arbiter.
-  // Core-splitting knob: `service.tuning.parallel_materialize_workers = W`
-  // gives every service its own W-thread materialize team, so a fleet
-  // occupies ~num_services × W cores at snapshot time — size num_services for
-  // throughput (independent jobs) and W for per-job snapshot latency (big
-  // parked states), keeping the product near the core count.
+  // Cores: each service's session materializes and restores serially on its
+  // own worker thread, so the fleet's parallelism is num_services — size it
+  // near the core count.
   typename S::Options service;
 
   // The fleet's shared substrate. Null (default): the pool creates a store

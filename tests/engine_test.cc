@@ -163,8 +163,8 @@ std::string CounterFingerprint(const SnapshotEngineStats& s) {
   return out.str();
 }
 
-// Counters recorded with the five-engine implementation this test was written
-// against; the single engine must reproduce them exactly.
+// Counters recorded when this script was written; any change to them is a
+// change in engine behaviour and must be deliberate.
 const char* GoldenCounters(SnapshotMode mode) {
   switch (mode) {
     case SnapshotMode::kCow:
@@ -600,7 +600,7 @@ TEST_P(QueensParityTest, FindsAll92AndRepeatsItsWork) {
 
 INSTANTIATE_TEST_SUITE_P(AllModes, QueensParityTest, kAllModes, ModeParamName);
 
-// --- IncrementalCopyEngine accounting --------------------------------------------
+// --- Incremental mode accounting -------------------------------------------------
 
 TEST(IncrementalEngineTest, CopiesOnlyTheDelta) {
   GuestArena arena(SmallLayout());

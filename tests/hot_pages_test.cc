@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "src/core/backtrack.h"
-#include "src/snapshot/cow_engine.h"
+#include "src/snapshot/engine.h"
 
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer) && !defined(__SANITIZE_THREAD__)
@@ -70,7 +70,7 @@ TEST(HotPagesTest, PromotionPreservesChainSemantics) {
   options.arena_bytes = 8ull << 20;
   options.output = [](std::string_view) {};
   BacktrackSession session(options);
-  // Hot-page prediction lives in the extracted CowEngine, selected by mode.
+  // Hot-page prediction belongs to the kCow configuration of the engine.
   ASSERT_EQ(session.engine().mode(), SnapshotMode::kCow);
   ASSERT_TRUE(session.Run(&ChainGuest, &args).ok());
   EXPECT_FALSE(args.corrupted);
@@ -79,10 +79,10 @@ TEST(HotPagesTest, PromotionPreservesChainSemantics) {
   EXPECT_GT(session.stats().snapshots, 60u);
 }
 
-// Drive the extracted CowEngine directly — no session, no guest: a host-side
+// Drive a kCow engine directly — no session, no guest: a host-side
 // write/materialize loop must promote a repeatedly dirtied page, demote it
 // after a clean streak, and keep round-trip contents exact throughout.
-TEST(HotPagesTest, ExtractedCowEngineHotCycleDirect) {
+TEST(HotPagesTest, CowEngineHotCycleDirect) {
   GuestArena::Layout layout;
   layout.arena_bytes = 2ull << 20;
   layout.stack_bytes = 256 * 1024;
@@ -95,9 +95,8 @@ TEST(HotPagesTest, ExtractedCowEngineHotCycleDirect) {
     env.arena = &arena;
     env.store = &store;
     env.stats = &stats;
-    env.page_map_kind = PageMapKind::kRadix;
     env.hot_page_limit = 8;
-    CowEngine engine(env);
+    SnapshotEngine engine(SnapshotMode::kCow, env);
 
     // Phase 1: dirty the same page across many snapshots — it must go hot.
     std::vector<Snapshot> snaps(40);

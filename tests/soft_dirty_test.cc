@@ -1,8 +1,8 @@
 // Kernel-assisted dirty tracking: the SoftDirtyTracker capability probe and
-// arbiter, the SoftDirtyEngine's zero-fault/zero-scan contract, the adaptive
-// engine's mechanism selection and graceful fallback, and the lazy
-// signal-state invariant (handler + sigaltstack installed only when an engine
-// actually needs the SIGSEGV protocol).
+// arbiter, the soft-dirty mode's zero-fault/zero-scan contract, the adaptive
+// mode's source selection and graceful fallback, and the lazy signal-state
+// invariant (handler + sigaltstack installed only when an engine actually
+// needs the SIGSEGV protocol).
 //
 // Ordering matters for the signal-state tests: they observe the *process*
 // SIGSEGV disposition, which CoW installation changes irreversibly. They are
@@ -21,10 +21,8 @@
 
 #include "src/core/arena.h"
 #include "src/core/backtrack.h"
-#include "src/snapshot/adaptive_engine.h"
 #include "src/snapshot/engine.h"
 #include "src/snapshot/soft_dirty.h"
-#include "src/snapshot/soft_dirty_engine.h"
 
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer) && !defined(__SANITIZE_THREAD__)
@@ -48,7 +46,6 @@ SnapshotEngine::Env MakeEnv(GuestArena* arena, PageStore* store, SnapshotEngineS
   env.arena = arena;
   env.store = store;
   env.stats = stats;
-  env.page_map_kind = PageMapKind::kRadix;
   return env;
 }
 
@@ -229,7 +226,7 @@ TEST_F(SoftDirtyTrackerTest, PendingWritesSurviveAnotherTrackersClear) {
       << "a page written before another tracker's clear_refs was lost";
 }
 
-// --- SoftDirtyEngine: the zero-fault / zero-scan acceptance contract -------------
+// --- Soft-dirty mode: the zero-fault / zero-scan acceptance contract --------------
 
 TEST_F(SoftDirtyTrackerTest, EngineMaterializesOnePageDeltaWithNoFaultsNoScan) {
   // Large arena: 64 MiB, so a full scan or full copy would be ~16k pages.
@@ -272,7 +269,7 @@ TEST_F(SoftDirtyTrackerTest, EngineMaterializesOnePageDeltaWithNoFaultsNoScan) {
   EXPECT_LE(store.stats().live_blobs, 1u);
 }
 
-// --- AdaptiveEngine: selection, switching, fallback ------------------------------
+// --- Adaptive mode: selection, switching, fallback -------------------------------
 
 TEST(AdaptiveEngineTest, SwitchesMechanismWithObservedDirtyRate) {
 #ifdef __SANITIZE_THREAD__
@@ -281,10 +278,10 @@ TEST(AdaptiveEngineTest, SwitchesMechanismWithObservedDirtyRate) {
   GuestArena arena(SmallLayout());
   PageStore store;
   SnapshotEngineStats stats;
-  AdaptiveEngine engine(MakeEnv(&arena, &store, &stats));
+  SnapshotEngine engine(SnapshotMode::kAdaptive, MakeEnv(&arena, &store, &stats));
   // Opens in faults: exact delta from checkpoint one, and no scan probe
-  // demand-faulting the whole fresh arena (see adaptive_engine.h).
-  EXPECT_EQ(engine.current_mechanism(), DirtySource::kFaults);
+  // demand-faulting the whole fresh arena (see engine.cc).
+  EXPECT_EQ(engine.dirty_source(), DirtySource::kFaults);
 
   // Tiny deltas: per-page fault cost beats whole-arena work; the engine must
   // stay in the faults mechanism, and the CoW protocol is live.
@@ -294,7 +291,7 @@ TEST(AdaptiveEngineTest, SwitchesMechanismWithObservedDirtyRate) {
     arena.PageAddr(5)[0] = static_cast<uint8_t>(round + 1);
     engine.Materialize(snaps[si++]);
   }
-  EXPECT_EQ(engine.current_mechanism(), DirtySource::kFaults);
+  EXPECT_EQ(engine.dirty_source(), DirtySource::kFaults);
   EXPECT_EQ(stats.adaptive_switches, 0u);
   EXPECT_GT(stats.materializes_by_faults, 0u);
   EXPECT_GT(arena.cow_faults(), 0u);
@@ -307,7 +304,7 @@ TEST(AdaptiveEngineTest, SwitchesMechanismWithObservedDirtyRate) {
     }
     engine.Materialize(snaps[si++]);
   }
-  EXPECT_NE(engine.current_mechanism(), DirtySource::kFaults);
+  EXPECT_NE(engine.dirty_source(), DirtySource::kFaults);
   EXPECT_GE(stats.adaptive_switches, 1u);
 
   // Round trips stay exact across mechanism changes.
