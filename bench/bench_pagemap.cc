@@ -12,13 +12,27 @@
 //                   (skips shared subtrees)
 //   TreeBytes     — map structure bytes across a 256-snapshot chain
 //
+// and the per-page costs a snapshot pays on its publish path (ungated: they
+// explain the end-to-end figures, they do not gate them):
+//
+//   PageHash              — the store's content hash over one 4 KiB page
+//   PublishUnique         — PageStore::Publish of never-seen content: zero
+//                           probe + hash + index miss + blob copy + insert
+//   PageMapSet/shared     — a point update right after the map was shared
+//                           (the first write after a checkpoint: full spine
+//                           copy)
+//   PageMapSet/unique     — a point update on a map that owns its spine
+//                           (in place, no node allocated)
+//
 // DESIGN.md's E7 section records the flat-vs-radix ablation behind the choice.
 
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <unordered_set>
 #include <vector>
 
+#include "src/snapshot/page_hash.h"
 #include "src/snapshot/page_map.h"
 #include "src/snapshot/page_store.h"
 #include "src/util/rng.h"
@@ -51,7 +65,7 @@ void BM_Share(benchmark::State& state) {
       working.Set(rng.Next() % kPages, store.Publish(page_bytes));
     }
     lw::PageMap published = working;  // the share
-    benchmark::DoNotOptimize(published.Get(0));
+    benchmark::DoNotOptimize(published.Peek(0));
   }
 }
 BENCHMARK(BM_Share)->Arg(1)->Arg(64)->Arg(4096);
@@ -107,6 +121,68 @@ void BM_TreeBytes(benchmark::State& state) {
   state.counters["retained_map_bytes"] = static_cast<double>(retained);
 }
 BENCHMARK(BM_TreeBytes)->Unit(benchmark::kMillisecond);
+
+void FillRandom(uint8_t* page, lw::Rng* rng) {
+  for (size_t i = 0; i < lw::kPageSize; i += 8) {
+    uint64_t word = rng->Next();
+    std::memcpy(page + i, &word, 8);
+  }
+}
+
+void BM_PageHash(benchmark::State& state) {
+  lw::Rng rng(10);
+  alignas(64) uint8_t page[lw::kPageSize];
+  FillRandom(page, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(page);
+    benchmark::DoNotOptimize(lw::internal::HashPage(page));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * lw::kPageSize));
+}
+BENCHMARK(BM_PageHash);
+
+void BM_PublishUnique(benchmark::State& state) {
+  lw::PageStore store;
+  lw::Rng rng(11);
+  alignas(64) uint8_t page[lw::kPageSize];
+  FillRandom(page, &rng);
+  constexpr size_t kBatch = 4096;  // refs held before an untimed batch release
+  std::vector<lw::PageRef> held;
+  held.reserve(kBatch);
+  uint64_t serial = 0;
+  for (auto _ : state) {
+    ++serial;
+    std::memcpy(page, &serial, sizeof(serial));  // never-seen content
+    held.push_back(store.Publish(page));
+    if (held.size() == kBatch) {
+      state.PauseTiming();
+      store.ReleaseBatch(held);
+      held.clear();
+      state.ResumeTiming();
+    }
+  }
+  store.ReleaseBatch(held);
+}
+BENCHMARK(BM_PublishUnique);
+
+void BM_PageMapSet(benchmark::State& state, bool shared) {
+  lw::PageStore store;
+  lw::PageMap map = MakeBase(&store);
+  uint8_t page_bytes[lw::kPageSize] = {1};
+  const lw::PageRef values[2] = {store.ZeroPage(), store.Publish(page_bytes)};
+  lw::Rng rng(12);
+  lw::PageMap snapshot(kPages);
+  uint32_t flip = 0;
+  for (auto _ : state) {
+    if (shared) {
+      snapshot = map;  // a checkpoint shares the map; the previous one dies
+    }
+    map.Set(static_cast<uint32_t>(rng.Next() % kPages), values[++flip & 1]);
+  }
+  benchmark::DoNotOptimize(map.Peek(0));
+}
+BENCHMARK_CAPTURE(BM_PageMapSet, shared, true);
+BENCHMARK_CAPTURE(BM_PageMapSet, unique, false);
 
 }  // namespace
 

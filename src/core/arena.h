@@ -119,7 +119,7 @@ class GuestArena {
   // `page`. The range must not span the guard (callers coalesce restore sets,
   // and guard pages never appear in those). Restore batching uses these to pay
   // O(runs) syscalls instead of O(pages) — see
-  // SnapshotEngine::RestoreProtectedSet.
+  // SnapshotEngine::RestoreFaults.
   void UnprotectRange(uint32_t page, uint32_t count);
   void ProtectRange(uint32_t page, uint32_t count);
 

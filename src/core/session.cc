@@ -561,7 +561,7 @@ Status BacktrackSession::ReadCheckpointMailbox(const Checkpoint& checkpoint, voi
     if (chunk > remaining) {
       chunk = remaining;
     }
-    PageRef ref = snap.map.Get(page);
+    const PageRef& ref = snap.map.Peek(page);
     LW_CHECK(ref.valid());
     ref.ReadBytes(in_page, dst, chunk);
     dst += chunk;

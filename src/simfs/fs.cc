@@ -40,7 +40,7 @@ SimFs::InodePtr SimFs::GetInode(uint64_t ino) const {
   if (ino >= options_.max_inodes) {
     return nullptr;
   }
-  return inodes_.Get(static_cast<uint32_t>(ino));
+  return inodes_.Peek(static_cast<uint32_t>(ino));
 }
 
 void SimFs::SetInode(uint64_t ino, InodePtr inode) {

@@ -32,6 +32,11 @@ constexpr uint8_t kHotDemoteAfter = 16;
 //     this host lacks soft-dirty; the 40 µs figure is the write cost of the
 //     clear_refs walk on the E12 reference numbers, to be recalibrated on a
 //     capable host).
+// The 8-lane page hash and in-place map updates have since cut the publish
+// share of these figures (DESIGN.md "Content dedup" has the per-page costs).
+// The constants are deliberately left as they were: they are relative
+// weights, and engine_test's golden script pins the switch sequence they
+// produce. Recalibrating them is a ROADMAP follow-up.
 constexpr double kFaultPageNs = 1900.0;        // fault + reprotect + publish, per changed page
 constexpr double kChangedPublishNs = 1700.0;   // hash + blob alloc + 4 KiB copy
 constexpr double kScanNs = 90.0;               // 4 KiB memcmp, per arena page
@@ -161,8 +166,19 @@ void SnapshotEngine::Arm(DirtySource source) {
   source_ = source;
 }
 
-PageRef SnapshotEngine::PublishPage(uint32_t page) {
-  return env_.store->Publish(env_.arena->PageAddr(page), env_.owner);
+bool SnapshotEngine::PublishPage(uint32_t page) {
+  // Content dedup in the store makes a rewritten-but-identical page publish
+  // back to the existing blob, so blob inequality is an exact "bytes changed"
+  // signal — the count the adaptive dirty-rate model wants (candidate lists
+  // may overapproximate the changed set). An unchanged page skips the map
+  // write and keeps sharing its spine with the parent snapshot, so restore
+  // diffs never descend to it.
+  PageRef ref = env_.store->Publish(env_.arena->PageAddr(page), env_.owner);
+  if (cur_map_.Peek(page) == ref) {
+    return false;
+  }
+  cur_map_.Set(page, std::move(ref));
+  return true;
 }
 
 // --- Materialize -----------------------------------------------------------------
@@ -200,11 +216,6 @@ void SnapshotEngine::Materialize(Snapshot& snap) {
 
 uint64_t SnapshotEngine::PublishPages(const uint32_t* pages, size_t count) {
   GuestArena& arena = *env_.arena;
-  // Content dedup in the store makes a rewritten-but-identical page publish
-  // back to the existing blob, so blob inequality is an exact "bytes changed"
-  // signal — the count the adaptive dirty-rate model wants (candidate lists
-  // may overapproximate the changed set).
-  const bool count_changes = mode_ == SnapshotMode::kAdaptive;
   uint64_t published = 0;
   uint64_t changed = 0;
   for (size_t i = 0; i < count; ++i) {
@@ -212,11 +223,7 @@ uint64_t SnapshotEngine::PublishPages(const uint32_t* pages, size_t count) {
     if (arena.InGuard(page)) {
       continue;
     }
-    PageRef ref = PublishPage(page);
-    if (count_changes && cur_map_.Get(page) != ref) {
-      ++changed;
-    }
-    cur_map_.Set(page, std::move(ref));
+    changed += PublishPage(page) ? 1 : 0;
     ++published;
   }
   env_.stats->pages_materialized += published;
@@ -252,8 +259,8 @@ void SnapshotEngine::MaterializeHotPages() {
   size_t kept = 0;
   for (size_t i = 0; i < hot_pages_.size(); ++i) {
     const uint32_t page = hot_pages_[i];
-    if (!cur_map_.Get(page).EqualsPage(arena.PageAddr(page))) {
-      cur_map_.Set(page, PublishPage(page));
+    if (!cur_map_.Peek(page).EqualsPage(arena.PageAddr(page))) {
+      PublishPage(page);
       ++stats.pages_materialized;
       clean_streak_[page] = 0;
       hot_pages_[kept++] = page;
@@ -296,7 +303,7 @@ uint64_t SnapshotEngine::MaterializeScan() {
   // fault): reads ∝ arena, copies ∝ delta.
   dirty_pages_.clear();
   for (uint32_t page = 0; page < arena.num_pages(); ++page) {
-    if (!arena.InGuard(page) && !cur_map_.Get(page).EqualsPage(arena.PageAddr(page))) {
+    if (!arena.InGuard(page) && !cur_map_.Peek(page).EqualsPage(arena.PageAddr(page))) {
       dirty_pages_.push_back(page);
     }
   }
@@ -318,23 +325,16 @@ uint64_t SnapshotEngine::MaterializeKernelDirty() {
 
 uint64_t SnapshotEngine::MaterializeFull() {
   GuestArena& arena = *env_.arena;
-  // No detection: every non-guard page is republished into a fresh map.
-  // Zero-page and content dedup keep the resident cost ∝ distinct pages.
-  const bool count_changes = mode_ == SnapshotMode::kAdaptive;
+  // No detection: every non-guard page is republished. Zero-page and content
+  // dedup keep the resident cost ∝ distinct pages, and unchanged pages keep
+  // their map entries (and spine) from the parent snapshot.
   uint64_t changed = 0;
-  PageMap fresh(arena.num_pages());
   for (uint32_t page = 0; page < arena.num_pages(); ++page) {
-    if (arena.InGuard(page)) {
-      continue;
-    }
-    PageRef ref = PublishPage(page);
-    if (count_changes && cur_map_.Get(page) != ref) {
+    if (!arena.InGuard(page) && PublishPage(page)) {
       ++changed;
     }
-    fresh.Set(page, std::move(ref));
   }
   env_.stats->pages_materialized += non_guard_pages_;
-  cur_map_ = std::move(fresh);
   return changed;
 }
 
@@ -413,7 +413,7 @@ uint64_t SnapshotEngine::RestoreFaults(const Snapshot& snap) {
   // copy only on divergence (an unchanged hot page is the common case on the
   // workloads that promoted it).
   for (uint32_t page : hot_pages_) {
-    const PageRef ref = snap.map.Get(page);
+    const PageRef& ref = snap.map.Peek(page);
     LW_CHECK_MSG(ref.valid(), "restoring a page the snapshot does not cover");
     if (ref.CopyToIfDifferent(arena.PageAddr(page))) {
       ++restored;
@@ -459,7 +459,7 @@ uint64_t SnapshotEngine::RestoreFaults(const Snapshot& snap) {
     arena.UnprotectRange(run.first, run.second);
   }
   for (uint32_t page : restore_pages_) {
-    const PageRef ref = snap.map.Get(page);
+    const PageRef& ref = snap.map.Peek(page);
     LW_CHECK_MSG(ref.valid(), "restoring a page the snapshot does not cover");
     ref.CopyTo(arena.PageAddr(page));
   }
@@ -484,7 +484,7 @@ uint64_t SnapshotEngine::RestoreKernelDirty(const Snapshot& snap) {
     if (arena.InGuard(page)) {
       continue;
     }
-    const PageRef ref = snap.map.Get(page);
+    const PageRef& ref = snap.map.Peek(page);
     LW_CHECK_MSG(ref.valid(), "restoring a page the snapshot does not cover");
     if (ref.CopyToIfDifferent(arena.PageAddr(page))) {
       ++restored;
@@ -520,7 +520,7 @@ uint64_t SnapshotEngine::RestoreByCompare(const Snapshot& snap) {
     if (arena.InGuard(page)) {
       continue;
     }
-    const PageRef ref = snap.map.Get(page);
+    const PageRef& ref = snap.map.Peek(page);
     LW_CHECK_MSG(ref.valid(), "restoring a page the snapshot does not cover");
     if (ref.CopyToIfDifferent(arena.PageAddr(page))) {
       ++restored;
@@ -537,7 +537,7 @@ uint64_t SnapshotEngine::RestoreAll(const Snapshot& snap) {
   // kFullCopy's whole-arena copy-back, the mirror of its whole-arena publish.
   for (uint32_t page = 0; page < arena.num_pages(); ++page) {
     if (!arena.InGuard(page)) {
-      snap.map.Get(page).CopyTo(arena.PageAddr(page));
+      snap.map.Peek(page).CopyTo(arena.PageAddr(page));
     }
   }
   return non_guard_pages_;

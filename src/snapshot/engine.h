@@ -214,13 +214,13 @@ class SnapshotEngine {
   void Arm(DirtySource source);
 
   // Materialize per source; each returns the number of map entries whose blob
-  // changed (counted only under kAdaptive, where it feeds the dirty-rate
-  // model; 0 otherwise).
+  // changed (the dirty-rate model's input under kAdaptive).
   uint64_t MaterializeFaults();
   uint64_t MaterializeScan();
   uint64_t MaterializeKernelDirty();
   uint64_t MaterializeFull();
-  // Publishes the non-guard pages of `pages` into cur_map_.
+  // Publishes the non-guard pages of `pages` into cur_map_; returns how many
+  // map entries changed.
   uint64_t PublishPages(const uint32_t* pages, size_t count);
   // Hot-page prediction (faults source): republishes changed hot pages and
   // demotes long-unchanged ones, then promotes pages that keep faulting.
@@ -235,7 +235,9 @@ class SnapshotEngine {
   uint64_t RestoreByCompare(const Snapshot& snap);
   uint64_t RestoreAll(const Snapshot& snap);
 
-  PageRef PublishPage(uint32_t page);
+  // Publishes one page and maps the blob; returns false (and leaves cur_map_
+  // untouched) when the page published back to the blob already mapped.
+  bool PublishPage(uint32_t page);
   // Mirrors store-level dedup/compression/release/spill accounting and the
   // soft-dirty tracker's counters into the shared stats block.
   void SyncStoreStats();

@@ -1,9 +1,13 @@
 // PageMap: the immutable address-space image of a snapshot — a mapping from guest
 // page index to PageRef, stored as a persistent radix tree. Sharing a map is
-// O(1); a point update copies only the spine; diff skips pointer-equal
+// O(1); a point update copies only the *shared* part of the page's spine (a
+// map that owns the whole path is updated in place); diff skips pointer-equal
 // subtrees, so nearby snapshots diff in O(pages that differ · log). This is
 // the paper's "space-efficient encoding" of the parent relationship (§3.1);
-// DESIGN.md's E7 section records the ablation that chose it.
+// DESIGN.md's E7 section records the ablation that chose it. Set and
+// ReleaseInto rely on the radix map's thread-affinity invariant
+// (src/util/radix_map.h): every copy of a map is driven by one thread at a
+// time, which session-owned snapshot maps satisfy.
 //
 // Identity: two map entries are equal iff they reference the same blob. Blobs are
 // immutable, so pointer equality implies content equality (the converse need not
@@ -34,10 +38,13 @@ class PageMap {
 
   uint32_t num_pages() const { return radix_.capacity(); }
 
-  PageRef Get(uint32_t page) const { return radix_.Get(page); }
+  // Borrowed read: no refcount traffic. An unset page reads as the invalid
+  // ref. Valid until the next Set/ReleaseInto/assignment on this map; copy
+  // the PageRef to keep it longer.
+  const PageRef& Peek(uint32_t page) const { return radix_.Peek(page); }
 
-  // Moves through PersistentRadixMap's rvalue Set: the ref lands in the copied
-  // spine without an atomic bump/drop pair per page.
+  // Moves through PersistentRadixMap's rvalue Set: the ref lands in the leaf
+  // without an atomic bump/drop pair per page.
   void Set(uint32_t page, PageRef ref) { radix_.Set(page, std::move(ref)); }
 
   // Explicit release: moves every ref this map uniquely owns into `*drain`

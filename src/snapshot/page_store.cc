@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "src/snapshot/codec.h"
+#include "src/snapshot/page_hash.h"
 #include "src/snapshot/spill_tier.h"
 
 namespace lw {
@@ -18,24 +19,6 @@ bool IsZeroPage(const void* src) {
   // few bytes, so the dedup probe costs nanoseconds on the common path.
   static const uint8_t kZero[kPageSize] = {};
   return std::memcmp(src, kZero, kPageSize) == 0;
-}
-
-// 64-bit content hash: xor-multiply-shift over 8-byte words (fmix64-style
-// finalizer per word). Collisions are tolerated — the index confirms every
-// candidate with a full memcmp — so speed matters more than distribution tails.
-// The top bits select the shard, the low bits the slot; the per-word multiply
-// mixes every input word into both.
-uint64_t HashPage(const void* src) {
-  const uint8_t* p = static_cast<const uint8_t*>(src);
-  uint64_t h = 0x9e3779b97f4a7c15ull;
-  for (size_t i = 0; i < kPageSize; i += 8) {
-    uint64_t w;
-    std::memcpy(&w, p + i, 8);
-    h ^= w;
-    h *= 0xff51afd7ed558ccdull;
-    h ^= h >> 33;
-  }
-  return h;
 }
 
 size_t PayloadBytes(const PageBlob* blob) {
@@ -315,8 +298,8 @@ PageRef PageStore::Publish(const void* src, uint32_t owner) {
   uint64_t hash = 0;
   uint32_t shard_id;
   if (options_.content_dedup) {
-    hash = HashPage(src);
-    shard_id = ShardOfHash(hash);
+    hash = internal::HashPage(src);
+    shard_id = internal::ShardOfHash(hash);
   } else {
     shard_id = shard_cursor_.fetch_add(1, std::memory_order_relaxed) & (kPageStoreShards - 1);
   }

@@ -416,14 +416,6 @@ class PageStore {
     std::atomic<uint64_t> faultbacks{0};
   };
 
-  // Top hash bits pick the shard (low bits pick the slot within its index).
-  static uint32_t ShardOfHash(uint64_t hash) {
-    if constexpr (kPageStoreShardBits == 0) {
-      return 0;
-    }
-    return static_cast<uint32_t>(hash >> (64 - kPageStoreShardBits)) & (kPageStoreShards - 1);
-  }
-
   // All *Locked helpers require the blob's (or given shard's) mutex held.
   internal::PageBlob* AcquireBlobLocked(Shard& shard, uint32_t shard_id);
   void RecycleBlob(internal::PageBlob* blob);  // takes the shard lock itself

@@ -1,11 +1,20 @@
-// PersistentRadixMap: an immutable, structurally shared map from dense uint32
-// keys to values, implemented as a path-copying radix tree with fanout 16.
+// PersistentRadixMap: a persistent map from dense uint32 keys to values,
+// implemented as a radix tree with fanout 16 whose nodes are shared between
+// copies.
 //
 // This is the "space-efficient encoding of the parent relationship" from §3.1 of
 // the paper: sharing a snapshot's page map costs O(1) (bump a root refcount), a
-// point update copies only the O(log n) nodes on the key's path, and a diff
-// between two maps skips whole subtrees that are pointer-equal — so restoring to
-// a nearby snapshot touches only the pages that actually differ.
+// point update copies only the *shared* part of the key's spine — at most
+// height nodes, none when this map owns the whole path — and a diff between
+// two maps skips whole subtrees that are pointer-equal, so restoring to a
+// nearby snapshot touches only the pages that actually differ. A copy taken
+// before an update never observes it.
+//
+// Thread affinity: Set and ReleaseInto decide "uniquely owned" from
+// shared_ptr::use_count(), which is only meaningful while no other thread can
+// concurrently copy or drop this map's nodes. Every copy of a map (and so
+// every holder of its nodes) must be driven by one thread at a time — true for
+// snapshot maps, which are session-thread-affine.
 //
 // Requirements on T: default-constructible, copyable, equality-comparable. The
 // default value is treated as "absent" for iteration purposes.
@@ -37,43 +46,35 @@ class PersistentRadixMap {
 
   uint32_t capacity() const { return capacity_; }
 
-  // Value at `key`; default-constructed T if never set.
-  T Get(uint32_t key) const {
+  // Borrowed value at `key`; a shared default-constructed T if never set. The
+  // reference stays valid until the next Set/ReleaseInto/assignment on this
+  // map (a later Set may mutate the slot in place).
+  const T& Peek(uint32_t key) const {
     LW_CHECK(key < capacity_);
     const Node* node = root_.get();
     for (int level = height_ - 1; level >= 1 && node != nullptr; --level) {
       node = node->children[SlotAt(key, level)].get();
     }
     if (node == nullptr) {
-      return T();
+      return DefaultValue();
     }
     return node->values[SlotAt(key, 0)];
   }
 
-  // Sets `key` to `value`, path-copying the spine. O(height) node copies.
-  void Set(uint32_t key, const T& value) {
-    LW_CHECK(key < capacity_);
-    root_ = SetRec(root_, key, value, height_ - 1);
-  }
-
-  // Rvalue overload: moves `value` into the tree, so refcounted T (PageRef)
-  // pays zero bump/drop pairs on the materialize hot path.
-  void Set(uint32_t key, T&& value) {
-    LW_CHECK(key < capacity_);
-    root_ = SetRec(root_, key, std::move(value), height_ - 1);
-  }
+  // Sets `key` to `value`, copying only the shared part of the spine (see
+  // MutableSlot). The rvalue overload moves `value` into the leaf, so
+  // refcounted T (PageRef) pays zero bump/drop pairs on the materialize path.
+  void Set(uint32_t key, const T& value) { MutableSlot(key) = value; }
+  void Set(uint32_t key, T&& value) { MutableSlot(key) = std::move(value); }
 
   // Explicit O(spine) release: tears down only the nodes this map uniquely
-  // owns (use_count() == 1), moving their non-default leaf values into
-  // `*drain`; subtrees shared with other maps are dropped with a single child
-  // refcount decrement and never descended. Afterwards the map is empty (every
-  // Get returns T()). Returns the number of nodes actually visited (torn
-  // down), so callers can assert the O(delta · height) bound. Iterative — no
-  // recursion, so arbitrarily deep ownership chains cannot overflow the stack.
-  //
-  // The unique-ownership test reads shared_ptr::use_count(), which is only
-  // meaningful when no other thread can concurrently copy or drop this map's
-  // nodes — true for snapshot maps, which are session-thread-affine.
+  // owns (use_count() == 1, see "Thread affinity" above), moving their
+  // non-default leaf values into `*drain`; subtrees shared with other maps are
+  // dropped with a single child refcount decrement and never descended.
+  // Afterwards the map is empty (every Peek returns T()). Returns the number
+  // of nodes actually visited (torn down), so callers can assert the
+  // O(delta · height) bound. Iterative — no recursion, so arbitrarily deep
+  // ownership chains cannot overflow the stack.
   size_t ReleaseInto(std::vector<T>* drain) {
     size_t visited = 0;
     struct Frame {
@@ -139,7 +140,9 @@ class PersistentRadixMap {
 
   // Nodes reachable from this root that are not already in `seen` (adds them).
   // Calling this over a family of maps yields the family's true structural
-  // residency — shared subtrees are counted exactly once.
+  // residency — shared subtrees are counted exactly once. The walk stops at
+  // nodes already in `seen`, so accumulate without a Set in between: an
+  // in-place Set can hang new nodes below a node `seen` already holds.
   size_t CountUniqueNodes(std::unordered_set<const void*>* seen) const {
     return CountUniqueRec(root_.get(), height_ - 1, seen);
   }
@@ -171,23 +174,31 @@ class PersistentRadixMap {
     return (key >> (kBitsPerLevel * level)) & (kFanout - 1);
   }
 
+  // Walks the spine root to leaf and returns the leaf slot for `key`. A node
+  // is copied only while it is shared (use_count() > 1) and mutated in place
+  // otherwise: the first update after a share copies height nodes, later
+  // updates on the same path copy none. Once a node is uniquely owned its
+  // children's counts are exact, so the test is sound level by level.
+  T& MutableSlot(uint32_t key) {
+    LW_CHECK(key < capacity_);
+    NodePtr* slot = &root_;
+    for (int level = height_ - 1;; --level) {
+      NodePtr& node = *slot;
+      if (node == nullptr) {
+        node = std::make_shared<Node>();
+      } else if (node.use_count() > 1) {
+        node = std::make_shared<Node>(*node);  // drops this map's share of the original
+      }
+      if (level == 0) {
+        return node->values[SlotAt(key, 0)];
+      }
+      slot = &node->children[SlotAt(key, level)];
+    }
+  }
+
   static const T& DefaultValue() {
     static const T kDefault{};
     return kDefault;
-  }
-
-  // U&& is a forwarding reference: the lvalue Set copies into the leaf, the
-  // rvalue Set moves — one shared SetRec instead of two near-identical bodies.
-  template <typename U>
-  static NodePtr SetRec(const NodePtr& node, uint32_t key, U&& value, int level) {
-    NodePtr copy = node ? std::make_shared<Node>(*node) : std::make_shared<Node>();
-    if (level == 0) {
-      copy->values[SlotAt(key, 0)] = std::forward<U>(value);
-    } else {
-      uint32_t slot = SlotAt(key, level);
-      copy->children[slot] = SetRec(copy->children[slot], key, std::forward<U>(value), level - 1);
-    }
-    return copy;
   }
 
   template <typename Fn>

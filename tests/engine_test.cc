@@ -685,7 +685,7 @@ TEST(IncrementalEngineTest, ZeroedPagesDedupOnRepublish) {
     // The republished page collapsed to the canonical zero blob and the engine
     // mirrored the store's dedup accounting into its stats block.
     EXPECT_EQ(stats.zero_dedup_hits, hits_before + 1);
-    EXPECT_EQ(snap2.map.Get(2), store.ZeroPage());
+    EXPECT_EQ(snap2.map.Peek(2), store.ZeroPage());
   }
   EXPECT_LE(store.stats().live_blobs, 1u);  // only the store-held zero blob remains
 }

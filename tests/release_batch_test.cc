@@ -200,7 +200,7 @@ TEST(ReleaseBatchRadixTest, SharedSubtreesAreNeverDescended) {
   EXPECT_EQ(store.stats().live_blobs, kPages);
   for (uint32_t page : {7u, 1000u, 2048u, 4095u, 0u, 555u}) {
     FillPage(buf, 3, page);
-    PageRef ref = base.Get(page);
+    const PageRef& ref = base.Peek(page);
     ASSERT_TRUE(ref.valid());
     EXPECT_TRUE(ref.EqualsPage(buf)) << "base page " << page << " corrupted by child release";
   }

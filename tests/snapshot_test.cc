@@ -5,8 +5,10 @@
 
 #include <cstring>
 #include <map>
+#include <vector>
 
 #include "src/snapshot/dirty_tracker.h"
+#include "src/snapshot/page_hash.h"
 #include "src/snapshot/page_map.h"
 #include "src/snapshot/page_store.h"
 #include "src/util/rng.h"
@@ -139,6 +141,64 @@ TEST(DirtyTrackerTest, FullCapacity) {
   EXPECT_EQ(t.count(), 128u);
 }
 
+// --- Page hash -------------------------------------------------------------------
+
+std::vector<uint8_t> RandomPage(Rng* rng) {
+  std::vector<uint8_t> page(kPageSize);
+  for (size_t i = 0; i < kPageSize; i += 8) {
+    uint64_t word = rng->Next();
+    std::memcpy(page.data() + i, &word, 8);
+  }
+  return page;
+}
+
+TEST(PageHashTest, EverySingleBitFlipChangesTheHash) {
+  Rng rng(41);
+  std::vector<uint8_t> page = RandomPage(&rng);
+  const uint64_t base = internal::HashPage(page.data());
+  for (size_t bit = 0; bit < kPageSize * 8; ++bit) {
+    page[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    ASSERT_NE(internal::HashPage(page.data()), base) << "bit " << bit;
+    page[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+  }
+}
+
+TEST(PageHashTest, EqualBytesHashEqual) {
+  Rng rng(42);
+  for (int trial = 0; trial < 16; ++trial) {
+    std::vector<uint8_t> page = RandomPage(&rng);
+    // A copy at an odd offset: the hash reads bytes, not aligned words.
+    std::vector<uint8_t> shifted(kPageSize + 1);
+    std::memcpy(shifted.data() + 1, page.data(), kPageSize);
+    EXPECT_EQ(internal::HashPage(page.data()), internal::HashPage(shifted.data() + 1));
+  }
+}
+
+// The shard comes from the top hash bits: over 16k pages every shard must get
+// within ±25% of its even share, for fully random pages and for pages that
+// differ in one small counter word (the low-entropy shape guest pages have).
+TEST(PageHashTest, ShardsAreEvenlyLoaded) {
+  constexpr size_t kPages = 16384;
+  constexpr size_t kShare = kPages / kPageStoreShards;
+  Rng rng(43);
+  std::vector<uint8_t> counter_page = RandomPage(&rng);
+  size_t random_load[kPageStoreShards] = {};
+  size_t counter_load[kPageStoreShards] = {};
+  for (size_t i = 0; i < kPages; ++i) {
+    std::vector<uint8_t> page = RandomPage(&rng);
+    ++random_load[internal::ShardOfHash(internal::HashPage(page.data()))];
+    const uint64_t counter = i;
+    std::memcpy(counter_page.data() + 1000, &counter, sizeof(counter));
+    ++counter_load[internal::ShardOfHash(internal::HashPage(counter_page.data()))];
+  }
+  for (size_t shard = 0; shard < kPageStoreShards; ++shard) {
+    EXPECT_GE(random_load[shard], kShare * 3 / 4) << "shard " << shard;
+    EXPECT_LE(random_load[shard], kShare * 5 / 4) << "shard " << shard;
+    EXPECT_GE(counter_load[shard], kShare * 3 / 4) << "shard " << shard;
+    EXPECT_LE(counter_load[shard], kShare * 5 / 4) << "shard " << shard;
+  }
+}
+
 // --- PageMap ---------------------------------------------------------------------
 
 TEST(PageMapTest, GetSetRoundTrip) {
@@ -147,8 +207,8 @@ TEST(PageMapTest, GetSetRoundTrip) {
   auto page = PatternPage(7);
   PageRef ref = store.Publish(page.data());
   m.Set(100, ref);
-  EXPECT_EQ(m.Get(100), ref);
-  EXPECT_FALSE(m.Get(101).valid());
+  EXPECT_EQ(m.Peek(100), ref);
+  EXPECT_FALSE(m.Peek(101).valid());
 }
 
 TEST(PageMapTest, ShareThenDivergeDiff) {

@@ -6,6 +6,8 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <unordered_set>
+#include <vector>
 
 #include "src/util/alloc_hooks.h"
 #include "src/util/radix_map.h"
@@ -270,8 +272,8 @@ TEST(VecTest, Equality) {
 
 TEST(RadixMapTest, EmptyReturnsDefault) {
   PersistentRadixMap<int> m(1000);
-  EXPECT_EQ(m.Get(0), 0);
-  EXPECT_EQ(m.Get(999), 0);
+  EXPECT_EQ(m.Peek(0), 0);
+  EXPECT_EQ(m.Peek(999), 0);
 }
 
 TEST(RadixMapTest, SetGetRoundTrip) {
@@ -279,10 +281,10 @@ TEST(RadixMapTest, SetGetRoundTrip) {
   m.Set(0, 10);
   m.Set(17, 20);
   m.Set(4095, 30);
-  EXPECT_EQ(m.Get(0), 10);
-  EXPECT_EQ(m.Get(17), 20);
-  EXPECT_EQ(m.Get(4095), 30);
-  EXPECT_EQ(m.Get(1), 0);
+  EXPECT_EQ(m.Peek(0), 10);
+  EXPECT_EQ(m.Peek(17), 20);
+  EXPECT_EQ(m.Peek(4095), 30);
+  EXPECT_EQ(m.Peek(1), 0);
 }
 
 TEST(RadixMapTest, CopyIsIndependent) {
@@ -291,10 +293,10 @@ TEST(RadixMapTest, CopyIsIndependent) {
   PersistentRadixMap<int> b = a;  // O(1) structural share
   b.Set(5, 2);
   b.Set(6, 3);
-  EXPECT_EQ(a.Get(5), 1);
-  EXPECT_EQ(a.Get(6), 0);
-  EXPECT_EQ(b.Get(5), 2);
-  EXPECT_EQ(b.Get(6), 3);
+  EXPECT_EQ(a.Peek(5), 1);
+  EXPECT_EQ(a.Peek(6), 0);
+  EXPECT_EQ(b.Peek(5), 2);
+  EXPECT_EQ(b.Peek(6), 3);
 }
 
 TEST(RadixMapTest, DiffSkipsSharedAndFindsChanges) {
@@ -367,17 +369,147 @@ TEST_P(RadixMapPropertyTest, MatchesModelUnderRandomOps) {
       model = saved[i].second;
     } else {
       auto it = model.find(key);
-      EXPECT_EQ(subject.Get(key), it == model.end() ? 0 : it->second);
+      EXPECT_EQ(subject.Peek(key), it == model.end() ? 0 : it->second);
     }
   }
   // Full sweep at the end.
   for (uint32_t k = 0; k < capacity; k += 7) {
     auto it = model.find(k);
-    EXPECT_EQ(subject.Get(k), it == model.end() ? 0 : it->second);
+    EXPECT_EQ(subject.Peek(k), it == model.end() ? 0 : it->second);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RadixMapPropertyTest, ::testing::Values(1, 2, 3, 4, 5));
+
+// Every node reachable from `map`. CountUniqueNodes prunes at nodes already in
+// the set, so each set is filled from empty: an in-place update can hang new
+// nodes below a node some earlier walk already saw.
+std::unordered_set<const void*> NodesOf(const PersistentRadixMap<int>& map) {
+  std::unordered_set<const void*> nodes;
+  map.CountUniqueNodes(&nodes);
+  return nodes;
+}
+
+size_t CountNotIn(const std::unordered_set<const void*>& nodes,
+                  const std::unordered_set<const void*>& old_nodes) {
+  size_t count = 0;
+  for (const void* node : nodes) {
+    count += old_nodes.count(node) == 0 ? 1 : 0;
+  }
+  return count;
+}
+
+// Property test for copy-only-when-shared updates: a pool of maps that are
+// copied, updated, released and diffed at random, each checked against a flat
+// std::vector model after every operation (so an in-place update leaking into
+// an earlier copy is caught at once). Node allocation is pinned through
+// CountUniqueNodes: an update on a map whose root is shared copies exactly
+// `height` nodes; one on a map sharing no node with any other live map
+// allocates none.
+class RadixMapOwnershipTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RadixMapOwnershipTest, CopiesMatchModelAndOnlySharedSpinesAreCopied) {
+  Rng rng(GetParam());
+  constexpr uint32_t kCapacity = 1024;  // 16^2 < 1024 <= 16^3: height 3
+  constexpr size_t kHeight = 3;
+  constexpr size_t kMaxMaps = 8;
+  struct Entry {
+    PersistentRadixMap<int> map{kCapacity};
+    std::vector<int> model = std::vector<int>(kCapacity, 0);
+  };
+  std::vector<Entry> pool(1);
+  for (uint32_t k = 0; k < kCapacity; ++k) {  // every path exists from here on
+    pool[0].map.Set(k, static_cast<int>(k) + 1);
+    pool[0].model[k] = static_cast<int>(k) + 1;
+  }
+
+  int shared_root_sets = 0;
+  int exclusive_sets = 0;
+  for (int op = 0; op < 1500; ++op) {
+    const size_t i = static_cast<size_t>(rng.Below(pool.size()));
+    const int action = static_cast<int>(rng.Below(20));
+    if (action < 3 && pool.size() < kMaxMaps) {
+      pool.push_back(pool[i]);  // O(1) share
+    } else if (action < 6 && pool.size() > 1) {
+      std::vector<int> drain;
+      pool[i].map.ReleaseInto(&drain);
+      for (uint32_t k = 0; k < kCapacity; ++k) {
+        ASSERT_EQ(pool[i].map.Peek(k), 0);
+      }
+      ASSERT_LE(drain.size(), kCapacity);  // never more values than the map held
+      pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (action < 8) {
+      const size_t j = static_cast<size_t>(rng.Below(pool.size()));
+      std::set<uint32_t> diffs;
+      pool[i].map.Diff(pool[j].map, [&](uint32_t k, int mine, int theirs) {
+        EXPECT_EQ(mine, pool[i].model[k]);
+        EXPECT_EQ(theirs, pool[j].model[k]);
+        diffs.insert(k);
+      });
+      for (uint32_t k = 0; k < kCapacity; ++k) {
+        ASSERT_EQ(diffs.count(k) != 0, pool[i].model[k] != pool[j].model[k]) << "key " << k;
+      }
+    } else {
+      const uint32_t key = static_cast<uint32_t>(rng.Below(kCapacity));
+      const int value = static_cast<int>(rng.Below(1000)) + 1;
+      bool root_shared = false;
+      std::unordered_set<const void*> others;
+      for (size_t j = 0; j < pool.size(); ++j) {
+        if (j != i) {
+          root_shared = root_shared || pool[j].map.RootEquals(pool[i].map);
+          pool[j].map.CountUniqueNodes(&others);
+        }
+      }
+      const std::unordered_set<const void*> before = NodesOf(pool[i].map);
+      const bool exclusive = CountNotIn(before, others) == before.size();
+      pool[i].map.Set(key, value);
+      pool[i].model[key] = value;
+      const size_t allocated = CountNotIn(NodesOf(pool[i].map), before);
+      ASSERT_LE(allocated, kHeight);
+      if (root_shared) {
+        ASSERT_EQ(allocated, kHeight);
+        ++shared_root_sets;
+      }
+      if (exclusive) {
+        ASSERT_EQ(allocated, 0u);
+        ++exclusive_sets;
+      }
+    }
+    // Every live map — in particular every earlier copy — still matches its
+    // model after whatever happened to its siblings.
+    for (const Entry& entry : pool) {
+      for (uint32_t k = 0; k < kCapacity; ++k) {
+        ASSERT_EQ(entry.map.Peek(k), entry.model[k]) << "op " << op << " key " << k;
+      }
+    }
+  }
+  EXPECT_GT(shared_root_sets, 0);
+  EXPECT_GT(exclusive_sets, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RadixMapOwnershipTest, ::testing::Values(11, 12, 13, 14, 15));
+
+TEST(RadixMapTest, UpdateCopiesOnlyTheSharedPartOfTheSpine) {
+  PersistentRadixMap<int> m(4096);  // height 3
+  for (uint32_t k = 0; k < 4096; ++k) {
+    m.Set(k, 1);
+  }
+  PersistentRadixMap<int> parent = m;
+  std::unordered_set<const void*> nodes = NodesOf(m);
+  m.Set(5, 2);  // root shared: the whole spine is copied
+  EXPECT_EQ(CountNotIn(NodesOf(m), nodes), 3u);
+  nodes = NodesOf(m);
+  m.Set(6, 3);  // same leaf, now owned: in place
+  EXPECT_EQ(CountNotIn(NodesOf(m), nodes), 0u);
+  m.Set(4000, 4);  // owned root, shared interior and leaf below it
+  EXPECT_EQ(CountNotIn(NodesOf(m), nodes), 2u);
+  EXPECT_EQ(parent.Peek(5), 1);
+  EXPECT_EQ(parent.Peek(6), 1);
+  EXPECT_EQ(parent.Peek(4000), 1);
+  EXPECT_EQ(m.Peek(5), 2);
+  EXPECT_EQ(m.Peek(6), 3);
+  EXPECT_EQ(m.Peek(4000), 4);
+}
 
 }  // namespace
 }  // namespace lw
