@@ -23,12 +23,11 @@ MAX_PCT=${LWSNAP_PERF_MAX_REGRESSION_PCT:-25}
 # a thin and a fat dirty set, E11's serial endpoints, the adaptive mode at
 # the same two dirty sets, the restore-heavy E13 rows (the coalesced-mprotect
 # CoW path and the compare-driven scan/adaptive paths), the E14 release-storm
-# rows (per-ref and batched, so a regression in either reclamation path
-# gates), the E11 queens fixture plus its spill-budgeted variant, and the E15
-# fault-back microbenchmark at a thin and a fat spilled set (spill needs no
-# capability probe — it is plain file I/O). Fast enough to repeat $REPS
-# times; medians gate.
-SNAPSHOT_FILTER='^BM_CowSnapshot/(8|512)/16$|^BM_IncrementalSnapshot/(8|512)/16$|^BM_AdaptiveSnapshot/(8|512)/16$|^BM_(Cow|Incremental)SnapshotSerial/512/16/|^BM_CowRestore/(64|512)/16/|^BM_IncrementalRestore/512/16/|^BM_AdaptiveRestore/64/16/|^BM_(Cow|Incremental|Adaptive)ReleaseStorm/64/(0|1)/'
+# rows (batched reclamation), the E11 queens fixture plus its spill-budgeted
+# variant, and the E15 fault-back microbenchmark at a thin and a fat spilled
+# set (spill needs no capability probe — it is plain file I/O). Fast enough
+# to repeat $REPS times; medians gate.
+SNAPSHOT_FILTER='^BM_CowSnapshot/(8|512)/16$|^BM_IncrementalSnapshot/(8|512)/16$|^BM_AdaptiveSnapshot/(8|512)/16$|^BM_(Cow|Incremental)SnapshotSerial/512/16/|^BM_CowRestore/(64|512)/16/|^BM_IncrementalRestore/512/16/|^BM_AdaptiveRestore/64/16/|^BM_(Cow|Incremental|Adaptive)ReleaseStorm/64/'
 STORE_FILTER='^BM_QueensMaterialize(Spill)?/|^BM_SpillFaultback/(256|1024)$'
 
 # Soft-dirty rows exist only on kernels that track soft-dirty PTE bits

@@ -1,5 +1,4 @@
-// PageStore ablation harness: hash-dedup on/off × compression on/off on the
-// two workloads DESIGN.md tables (E9):
+// PageStore residency harness on the two workloads DESIGN.md tables (E9):
 //
 //   * sat-extend — one SolverService: root solve of a random 3-SAT problem,
 //     then 6 incremental extensions; every solved problem stays parked as a
@@ -8,10 +7,11 @@
 //     8-queens with a page-aligned placement trail and parking every solution
 //     as a checkpoint.
 //
-// After the workload, cold compression runs (CompressAllCold — the "service is
-// idle, everything is parked" moment); with compression off that is a no-op.
-// Reported live bytes are the post-park residency a long-running host would
-// actually hold. Run: ./example_store_ablation
+// Each workload prints two rows: the parked residency as published (raw), and
+// after cold compression runs (CompressAllCold — the "service is idle,
+// everything is parked" moment). Reported live bytes are the post-park
+// residency a long-running host would actually hold.
+// Run: ./example_store_ablation
 //
 // Spill-tier demo (E15): pass --spill_dir <dir> (optionally --budget <bytes>)
 // to instead run an out-of-core workload: a session parks checkpoints whose
@@ -28,10 +28,10 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/backtrack.h"
-#include "src/snapshot/budget_policy.h"
 #include "src/snapshot/spill_tier.h"
 #include "src/solver/service.h"
 #include "src/util/rng.h"
@@ -75,18 +75,31 @@ void QueensGuest(void* arg) {
   }
 }
 
-Row FinishRow(lw::PageStore& store) {
-  store.CompressAllCold();  // no-op when compression is off
+struct Rows {
+  Row raw;         // parked, as published
+  Row compressed;  // parked, after CompressAllCold
+};
+
+Row ReadRow(const lw::PageStore& store) {
+  const lw::PageStore::Stats stats = store.stats();
   Row row;
-  row.live_bytes = store.stats().bytes_live();
-  row.peak_live_bytes = store.stats().peak_live_bytes;
-  row.dedup_hits = store.stats().zero_dedup_hits + store.stats().content_dedup_hits;
-  row.compressed_blobs = store.stats().compressed_blobs;
+  row.live_bytes = stats.bytes_live();
+  row.peak_live_bytes = stats.peak_live_bytes;
+  row.dedup_hits = stats.zero_dedup_hits + stats.content_dedup_hits;
+  row.compressed_blobs = stats.compressed_blobs;
   return row;
 }
 
-Row RunSatExtend(const lw::PageStoreOptions& store_options) {
-  auto store = std::make_shared<lw::PageStore>(store_options);
+Rows FinishRows(lw::PageStore& store) {
+  Rows rows;
+  rows.raw = ReadRow(store);
+  store.CompressAllCold();
+  rows.compressed = ReadRow(store);
+  return rows;
+}
+
+Rows RunSatExtend() {
+  auto store = std::make_shared<lw::PageStore>();
   lw::SolverServiceOptions options;
   options.tuning.arena_bytes = 16ull << 20;
   options.tuning.store = store;
@@ -110,11 +123,11 @@ Row RunSatExtend(const lw::PageStoreOptions& store_options) {
     }
     cur = std::move(next->token);
   }
-  return FinishRow(*store);
+  return FinishRows(*store);
 }
 
-Row RunQueens(const lw::PageStoreOptions& store_options) {
-  auto store = std::make_shared<lw::PageStore>(store_options);
+Rows RunQueens() {
+  auto store = std::make_shared<lw::PageStore>();
   lw::SessionOptions options;
   options.arena_bytes = 2ull << 20;
   options.store = store;
@@ -130,27 +143,20 @@ Row RunQueens(const lw::PageStoreOptions& store_options) {
     std::fprintf(stderr, "queens parity failure\n");
     std::exit(1);
   }
-  return FinishRow(*store);
+  return FinishRows(*store);
 }
 
-void PrintTable(const char* workload, Row (*run)(const lw::PageStoreOptions&)) {
+void PrintTable(const char* workload, Rows (*run)()) {
   std::printf("%s\n", workload);
-  std::printf("  %-28s %12s %12s %12s %12s\n", "config", "live KiB", "peak KiB", "dedup_hits",
-              "cold_blobs");
-  const bool flags[2] = {false, true};
-  for (bool dedup : flags) {
-    for (bool compression : flags) {
-      lw::PageStoreOptions options;
-      options.content_dedup = dedup;
-      options.compression = compression;
-      Row row = run(options);
-      char config[64];
-      std::snprintf(config, sizeof(config), "dedup=%s compression=%s", dedup ? "on" : "off",
-                    compression ? "on" : "off");
-      std::printf("  %-28s %12" PRIu64 " %12" PRIu64 " %12" PRIu64 " %12" PRIu64 "\n", config,
-                  row.live_bytes / 1024, row.peak_live_bytes / 1024, row.dedup_hits,
-                  row.compressed_blobs);
-    }
+  std::printf("  %-28s %12s %12s %12s %12s\n", "parked residency", "live KiB", "peak KiB",
+              "dedup_hits", "cold_blobs");
+  const Rows rows = run();
+  const std::pair<const char*, const Row*> lines[2] = {{"raw", &rows.raw},
+                                                       {"cold-compressed", &rows.compressed}};
+  for (const auto& [name, row] : lines) {
+    std::printf("  %-28s %12" PRIu64 " %12" PRIu64 " %12" PRIu64 " %12" PRIu64 "\n", name,
+                row->live_bytes / 1024, row->peak_live_bytes / 1024, row->dedup_hits,
+                row->compressed_blobs);
   }
   std::printf("\n");
 }
@@ -260,7 +266,7 @@ SpillRow RunSpillWorkload(const std::string& spill_dir, uint64_t budget) {
   std::vector<lw::Checkpoint> parked = session.TakeNewCheckpoints();
   if (budget != 0) {
     // The ladder a service host runs once the population is fully parked.
-    lw::ByteBudgetPolicy().Enforce(*store, budget, []() { return false; });
+    store->ShrinkTo(budget);
   }
 
   SpillRow row;

@@ -346,17 +346,21 @@ SnapshotRef BacktrackSession::NewSnapshotShell(SnapshotKind kind) {
 }
 
 void BacktrackSession::EnforceBudget() {
-  engine_->EnforceByteBudget(options_.snapshot_byte_budget, [this] {
+  const uint64_t budget = options_.snapshot_byte_budget;
+  if (budget == 0) {
+    return;
+  }
+  while (store_->live_bytes() > budget) {
     std::optional<Extension> evicted = strategy_->EvictWorst();
     if (!evicted.has_value()) {
-      return false;
+      break;
     }
     ++stats_.evictions;
     // Reclaim through the batch path so eviction storms under a tight
     // budget pay O(shards touched) lock acquisitions, not O(dying blobs).
     ReclaimSnapshot(std::move(evicted->snapshot));
-    return true;
-  });
+  }
+  store_->ShrinkTo(budget);
 }
 
 void BacktrackSession::MaterializeInto(const SnapshotRef& snap) {
@@ -494,10 +498,6 @@ void BacktrackSession::DrainReleasedCheckpoints() {
 
 void BacktrackSession::ReclaimSnapshot(SnapshotRef snap) {
   if (snap == nullptr) {
-    return;
-  }
-  if (!options_.batched_release) {
-    snap.reset();  // per-ref baseline: the destructor cascade releases blobs one by one
     return;
   }
   // Walk the parent chain iteratively while this was the last reference:

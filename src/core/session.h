@@ -87,23 +87,14 @@ struct SessionOptions {
   uint64_t max_extensions = 0;
 
   // SM-A* style byte budget on live snapshot pages (0 = unbounded): after each
-  // guess and each parked checkpoint the ByteBudgetPolicy runs
-  // evict → compress → spill → drop until the store
-  // fits (SnapshotEngine::EnforceByteBudget). Measured against the *whole*
-  // store: with an injected shared store this is a fleet-wide residency cap —
-  // every sharer's live bytes count, but each session can only evict its own
-  // frontier, so sharers should agree on one budget value (or use 0).
+  // guess and each parked checkpoint the session runs the budget ladder
+  // evict → compress → spill → drop until the store fits (EnforceBudget: the
+  // session evicts its own frontier, PageStore::ShrinkTo runs the rest).
+  // Measured against the *whole* store: with an injected shared store this is
+  // a fleet-wide residency cap — every sharer's live bytes count, but each
+  // session can only evict its own frontier, so sharers should agree on one
+  // budget value (or use 0).
   uint64_t snapshot_byte_budget = 0;
-
-  // Batched snapshot release (default): reclaiming a snapshot walks only the
-  // radix spine this session uniquely owns, harvests the dying page refs into
-  // a drain buffer, and hands them to PageStore::ReleaseBatch — one shard-lock
-  // acquisition per shard touched instead of one per dying blob. false falls
-  // back to the per-ref destructor cascade (each PageRef::Release takes the
-  // shard lock on its own); end-state store bytes are bit-identical either
-  // way. Exposed mainly as the serial baseline for parity tests and the E14
-  // release-storm ablation.
-  bool batched_release = true;
 
   // Hot-page prediction (kCow only): a page dirtied in enough snapshots is
   // left permanently writable; snapshots memcmp it and restores memcpy it
@@ -221,15 +212,18 @@ class BacktrackSession : public GuessExecutor {
   void DrainReleasedCheckpoints();
   // Releases a snapshot (and any parents it uniquely owns) through the O(spine)
   // path: each uniquely-held map drains its page refs into release_drain_ and
-  // one PageStore::ReleaseBatch recycles them shard-by-shard. With
-  // options_.batched_release false this is a plain reset (per-ref baseline).
+  // one PageStore::ReleaseBatch recycles them shard-by-shard — one shard-lock
+  // acquisition per shard touched instead of one per dying blob.
   void ReclaimSnapshot(SnapshotRef snap);
   void HandleGuestEvent();
-  // Runs the evict → compress → spill → drop ladder against
-  // options_.snapshot_byte_budget (no-op when 0). Called after every
-  // materialization that grows the store — guess fan-outs *and* parked
-  // checkpoints, so long-running services with no search frontier still
-  // converge to the cap.
+  // Runs the budget ladder against options_.snapshot_byte_budget (no-op when
+  // 0): evicts the worst frontier entries while the store is over budget
+  // (only the session owns a frontier), then hands the lossless rungs —
+  // compress → spill → drop — to PageStore::ShrinkTo. Eviction comes first so
+  // the cold tiers never run while freeing evictable work could still meet the
+  // budget. Called after every materialization that grows the store — guess
+  // fan-outs *and* parked checkpoints, so long-running services with no
+  // search frontier still converge to the cap.
   void EnforceBudget();
   void MaterializeInto(const SnapshotRef& snap);
   void RestoreTo(const Snapshot& snap);

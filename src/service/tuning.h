@@ -48,8 +48,8 @@ struct ServiceTuning {
 };
 
 // The single mapping from service tuning onto session construction. Fields
-// the services do not expose (guest stack size, strategy, max_extensions,
-// batched_release) keep their SessionOptions defaults.
+// the services do not expose (guest stack size, strategy, max_extensions) keep
+// their SessionOptions defaults.
 inline SessionOptions MakeSessionOptions(const ServiceTuning& tuning) {
   SessionOptions session_options;
   session_options.arena_bytes = tuning.arena_bytes;

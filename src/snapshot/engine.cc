@@ -557,10 +557,6 @@ size_t SnapshotEngine::StructureBytes() const {
   return bytes;
 }
 
-void SnapshotEngine::EnforceByteBudget(uint64_t budget, const std::function<bool()>& evict) {
-  budget_policy_.Enforce(*env_.store, budget, evict);
-}
-
 void SnapshotEngine::SyncStoreStats() {
   const PageStore::Stats store = env_.store->stats();
   env_.stats->zero_dedup_hits = store.zero_dedup_hits;

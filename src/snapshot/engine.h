@@ -6,7 +6,8 @@
 // address-space image is captured and reinstated) are separate concerns. This
 // class is the seam: the session drives the search graph and calls the engine
 // exactly twice per extension — Materialize at a guess point, Restore before
-// resuming a sibling — plus a byte-budget hook after each guess.
+// resuming a sibling. The byte budget is not the engine's: the session evicts
+// its own frontier and the store shrinks itself (PageStore::ShrinkTo).
 //
 // There is one mechanism: page-granular snapshots into a content-addressed
 // PageStore, restored by copying back only the pages that differ. What varies
@@ -46,13 +47,11 @@
 #define LWSNAP_SRC_SNAPSHOT_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/core/search_graph.h"
-#include "src/snapshot/budget_policy.h"
 #include "src/snapshot/page_map.h"
 #include "src/snapshot/page_store.h"
 
@@ -195,12 +194,6 @@ class SnapshotEngine {
   // snapshot maps.
   size_t StructureBytes() const;
 
-  // Post-materialize budget hook: the shared ByteBudgetPolicy runs
-  // evict → compress → spill → drop against the store until live bytes fit
-  // `budget` (`evict` returns false when nothing is evictable; `budget == 0`
-  // means unbounded).
-  void EnforceByteBudget(uint64_t budget, const std::function<bool()>& evict);
-
   const PageMap& current_map() const { return cur_map_; }
   // The source armed for the *next* checkpoint (changes only under kAdaptive).
   DirtySource dirty_source() const { return source_; }
@@ -247,7 +240,6 @@ class SnapshotEngine {
   Env env_;
   DirtySource source_ = DirtySource::kFull;
   PageMap cur_map_;
-  ByteBudgetPolicy budget_policy_;
   uint32_t non_guard_pages_ = 0;
   std::unique_ptr<SoftDirtyTracker> tracker_;  // kSoftDirty, or kAdaptive where supported
 

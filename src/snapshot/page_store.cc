@@ -32,10 +32,8 @@ size_t PayloadBytes(const PageBlob* blob) {
 }  // namespace
 
 PageStore::PageStore(const PageStoreOptions& options) : options_(options) {
-  if (options_.content_dedup) {
-    for (Shard& shard : shards_) {
-      shard.index.assign(kInitialIndexSlots, nullptr);
-    }
+  for (Shard& shard : shards_) {
+    shard.index.assign(kInitialIndexSlots, nullptr);
   }
   if (!options_.spill_dir.empty()) {
     SpillTierOptions spill_options;
@@ -130,45 +128,55 @@ void PageStore::RecycleBlob(PageBlob* blob) {
   // cannot have risen again.
   Shard& shard = shards_[blob->shard];
   std::lock_guard<std::mutex> lock(shard.mu);
-  RecycleBlobLocked(shard, blob);
+  RecycleTally tally;
+  RecycleLocked(shard, blob, &tally);
+  ApplyRecycleTally(tally);
 }
 
-void PageStore::RecycleBlobLocked(Shard& shard, PageBlob* blob) {
+void PageStore::RecycleLocked(Shard& shard, PageBlob* blob, RecycleTally* tally) {
   LW_CHECK(blob->refcount.load(std::memory_order_acquire) == 0);
   if (blob->indexed) {
     IndexRemoveLocked(shard, blob);
   }
-  uint32_t comp = blob->comp_bytes.load(std::memory_order_relaxed);
-  if ((blob->flags & PageBlob::kSpillCand) != 0) {
-    SpillCandRemoveLocked(shard, blob);
-  } else if (comp == 0 && (blob->flags & PageBlob::kPinned) == 0) {
-    LruRemoveLocked(shard, blob);
-  }
-  counters_.live_bytes.fetch_sub(sizeof(PageBlob) + PayloadBytes(blob),
-                                 std::memory_order_relaxed);
+  UnlistLocked(shard, blob);
+  tally->live_bytes += sizeof(PageBlob) + PayloadBytes(blob);
+  // A dying spilled blob never faults back: only its disk record and header
+  // go away, the payload bytes are never read again.
   if (blob->spill_rec != nullptr) {
-    uint64_t spilled_dropped = 0;
-    uint64_t spill_bytes_dropped = 0;
-    DropSpillStateLocked(blob, &spilled_dropped, &spill_bytes_dropped);
-    if (spilled_dropped != 0) {
-      counters_.spilled_blobs.fetch_sub(spilled_dropped, std::memory_order_relaxed);
-      counters_.spill_bytes.fetch_sub(spill_bytes_dropped, std::memory_order_relaxed);
+    if (blob->spilled.load(std::memory_order_relaxed) != 0) {
+      ++tally->spilled;
+      tally->spill_bytes += blob->spill_rec->len;
+      blob->spilled.store(0, std::memory_order_relaxed);
     }
+    spill_->Free(blob->spill_rec);
+    blob->spill_rec = nullptr;
   }
-  if (comp != 0) {
+  if (blob->comp_bytes.load(std::memory_order_relaxed) != 0) {
     // Compressed payloads are odd-sized; recycle the header only and let the
     // next acquire mint a fresh raw payload.
-    counters_.compressed_blobs.fetch_sub(1, std::memory_order_relaxed);
+    ++tally->compressed;
     std::free(blob->payload);
     blob->payload = nullptr;
     blob->comp_bytes.store(0, std::memory_order_relaxed);
   }
-  counters_.live_blobs.fetch_sub(1, std::memory_order_release);
+  tally->free_bytes += sizeof(PageBlob) + PayloadBytes(blob);
+  ++tally->blobs;
   blob->next_free = shard.free_list;
   shard.free_list = blob;
-  counters_.free_blobs.fetch_add(1, std::memory_order_relaxed);
-  counters_.free_bytes.fetch_add(sizeof(PageBlob) + PayloadBytes(blob),
-                                 std::memory_order_relaxed);
+}
+
+void PageStore::ApplyRecycleTally(const RecycleTally& tally) {
+  counters_.live_bytes.fetch_sub(tally.live_bytes, std::memory_order_relaxed);
+  if (tally.compressed != 0) {
+    counters_.compressed_blobs.fetch_sub(tally.compressed, std::memory_order_relaxed);
+  }
+  if (tally.spilled != 0) {
+    counters_.spilled_blobs.fetch_sub(tally.spilled, std::memory_order_relaxed);
+    counters_.spill_bytes.fetch_sub(tally.spill_bytes, std::memory_order_relaxed);
+  }
+  counters_.live_blobs.fetch_sub(tally.blobs, std::memory_order_release);
+  counters_.free_blobs.fetch_add(tally.blobs, std::memory_order_relaxed);
+  counters_.free_bytes.fetch_add(tally.free_bytes, std::memory_order_relaxed);
 }
 
 void PageStore::ReleaseBatch(std::vector<PageRef>& refs) {
@@ -180,10 +188,10 @@ void PageStore::ReleaseBatch(std::vector<PageRef>& refs) {
   // this thread the blob's unique recycler (the index never revives
   // zero-refcount blobs), so the blob can be parked on a per-shard doom list.
   // next_free is reusable as the list link: it is only meaningful while the
-  // blob sits on a shard free list, which cannot happen before
-  // RecycleBlobLocked below.
+  // blob sits on a shard free list, which cannot happen before RecycleLocked
+  // below.
   PageBlob* doomed[kPageStoreShards] = {};
-  uint64_t dying = 0;
+  bool any_dying = false;
   for (PageRef& ref : refs) {
     PageBlob* blob = ref.blob_;
     if (blob == nullptr) {
@@ -196,26 +204,21 @@ void PageStore::ReleaseBatch(std::vector<PageRef>& refs) {
     if (prev == 1) {
       blob->next_free = doomed[blob->shard];
       doomed[blob->shard] = blob;
-      ++dying;
+      any_dying = true;
     }
   }
   refs.clear();
   counters_.release_batches.fetch_add(1, std::memory_order_relaxed);
-  if (dying == 0) {
+  if (!any_dying) {
     return;
   }
   // Phase 2 — one lock hold per touched shard, recycling every doomed blob of
-  // that shard under it. Between phases the dying blobs stay indexed/LRU-linked
+  // that shard under it. Between phases the dying blobs stay indexed/listed
   // exactly as they would during the window between PageRef::Release's
   // decrement and RecycleBlob's lock acquisition — lookups treat refcount-zero
-  // blobs as dead either way. Counter traffic is batch-grained too: the
-  // byte/blob deltas accumulate in locals and land as one RMW per counter per
-  // batch, where the per-ref path pays four RMWs per dying blob.
-  uint64_t live_bytes_freed = 0;
-  uint64_t free_bytes_gained = 0;
-  uint64_t decompressed_dropped = 0;
-  uint64_t spilled_dropped = 0;
-  uint64_t spill_bytes_dropped = 0;
+  // blobs as dead either way. Counter traffic is batch-grained too: one tally
+  // for the whole batch, applied once.
+  RecycleTally tally;
   for (uint32_t shard_id = 0; shard_id < kPageStoreShards; ++shard_id) {
     PageBlob* blob = doomed[shard_id];
     if (blob == nullptr) {
@@ -226,48 +229,12 @@ void PageStore::ReleaseBatch(std::vector<PageRef>& refs) {
     counters_.release_shard_locks.fetch_add(1, std::memory_order_relaxed);
     while (blob != nullptr) {
       PageBlob* next = blob->next_free;  // the free-list push rewrites the link
-      LW_CHECK(blob->refcount.load(std::memory_order_acquire) == 0);
-      if (blob->indexed) {
-        IndexRemoveLocked(shard, blob);
-      }
-      uint32_t comp = blob->comp_bytes.load(std::memory_order_relaxed);
-      live_bytes_freed += sizeof(PageBlob) + PayloadBytes(blob);
-      // A dying spilled blob never faults back: only its disk record and
-      // header go away, the payload bytes are never read again.
-      if (blob->spill_rec != nullptr) {
-        DropSpillStateLocked(blob, &spilled_dropped, &spill_bytes_dropped);
-      }
-      if ((blob->flags & PageBlob::kSpillCand) != 0) {
-        SpillCandRemoveLocked(shard, blob);
-      } else if (comp == 0 && (blob->flags & PageBlob::kPinned) == 0) {
-        LruRemoveLocked(shard, blob);
-      }
-      if (comp != 0) {
-        // Compressed payloads are odd-sized; recycle the header only (see
-        // RecycleBlobLocked).
-        ++decompressed_dropped;
-        std::free(blob->payload);
-        blob->payload = nullptr;
-        blob->comp_bytes.store(0, std::memory_order_relaxed);
-      }
-      free_bytes_gained += sizeof(PageBlob) + PayloadBytes(blob);
-      blob->next_free = shard.free_list;
-      shard.free_list = blob;
+      RecycleLocked(shard, blob, &tally);
       blob = next;
     }
   }
-  counters_.live_bytes.fetch_sub(live_bytes_freed, std::memory_order_relaxed);
-  if (decompressed_dropped != 0) {
-    counters_.compressed_blobs.fetch_sub(decompressed_dropped, std::memory_order_relaxed);
-  }
-  if (spilled_dropped != 0) {
-    counters_.spilled_blobs.fetch_sub(spilled_dropped, std::memory_order_relaxed);
-    counters_.spill_bytes.fetch_sub(spill_bytes_dropped, std::memory_order_relaxed);
-  }
-  counters_.live_blobs.fetch_sub(dying, std::memory_order_release);
-  counters_.free_blobs.fetch_add(dying, std::memory_order_relaxed);
-  counters_.free_bytes.fetch_add(free_bytes_gained, std::memory_order_relaxed);
-  counters_.blobs_recycled_batched.fetch_add(dying, std::memory_order_relaxed);
+  ApplyRecycleTally(tally);
+  counters_.blobs_recycled_batched.fetch_add(tally.blobs, std::memory_order_relaxed);
 }
 
 void PageStore::TrimFreeList() {
@@ -295,33 +262,23 @@ PageRef PageStore::Publish(const void* src, uint32_t owner) {
     counters_.zero_dedup_hits.fetch_add(1, std::memory_order_relaxed);
     return ZeroPage();
   }
-  uint64_t hash = 0;
-  uint32_t shard_id;
-  if (options_.content_dedup) {
-    hash = internal::HashPage(src);
-    shard_id = internal::ShardOfHash(hash);
-  } else {
-    shard_id = shard_cursor_.fetch_add(1, std::memory_order_relaxed) & (kPageStoreShards - 1);
-  }
+  const uint64_t hash = internal::HashPage(src);
+  const uint32_t shard_id = internal::ShardOfHash(hash);
   Shard& shard = shards_[shard_id];
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (options_.content_dedup) {
-    if (PageBlob* hit = IndexFindLocked(shard, hash, src)) {
-      counters_.content_dedup_hits.fetch_add(1, std::memory_order_relaxed);
-      if (hit->owner != owner) {
-        counters_.cross_session_dedup_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-      LruTouchLocked(shard, hit);
-      return PageRef(hit);  // IndexFindLocked already took the reference
+  if (PageBlob* hit = IndexFindLocked(shard, hash, src)) {
+    counters_.content_dedup_hits.fetch_add(1, std::memory_order_relaxed);
+    if (hit->owner != owner) {
+      counters_.cross_session_dedup_hits.fetch_add(1, std::memory_order_relaxed);
     }
+    TouchLocked(shard, hit);
+    return PageRef(hit);  // IndexFindLocked already took the reference
   }
   PageBlob* blob = AcquireBlobLocked(shard, shard_id);
   std::memcpy(blob->payload, src, kPageSize);
   blob->owner = owner;
-  if (options_.content_dedup) {
-    blob->hash = hash;
-    IndexInsertLocked(shard, blob);
-  }
+  blob->hash = hash;
+  IndexInsertLocked(shard, blob);
   LruPushFrontLocked(shard, blob);
   return PageRef(blob);
 }
@@ -378,7 +335,9 @@ restart:
     // already hold the shard lock this blob recycles under). Recycling edits
     // the probe chain (backward-shift deletion), so restart the probe.
     if (cand->refcount.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      RecycleBlobLocked(shard, cand);
+      RecycleTally tally;
+      RecycleLocked(shard, cand, &tally);
+      ApplyRecycleTally(tally);
       goto restart;
     }
   }
@@ -489,9 +448,35 @@ void PageRef::ReadBytes(size_t offset, void* dst, size_t len) const {
 }
 
 // ---------------------------------------------------------------------------
-// Cold-compression tier (per-shard LRU lists; helpers run under the shard's
-// mutex).
+// Cold lists (per shard; helpers run under the shard's mutex).
 // ---------------------------------------------------------------------------
+
+void PageStore::ColdList::PushFront(PageBlob* blob) {
+  blob->lru_prev = nullptr;
+  blob->lru_next = head;
+  if (head != nullptr) {
+    head->lru_prev = blob;
+  }
+  head = blob;
+  if (tail == nullptr) {
+    tail = blob;
+  }
+}
+
+void PageStore::ColdList::Remove(PageBlob* blob) {
+  if (blob->lru_prev != nullptr) {
+    blob->lru_prev->lru_next = blob->lru_next;
+  } else if (head == blob) {
+    head = blob->lru_next;
+  }
+  if (blob->lru_next != nullptr) {
+    blob->lru_next->lru_prev = blob->lru_prev;
+  } else if (tail == blob) {
+    tail = blob->lru_prev;
+  }
+  blob->lru_prev = nullptr;
+  blob->lru_next = nullptr;
+}
 
 void PageStore::LruPushFrontLocked(Shard& shard, PageBlob* blob) {
   // Pinned blobs never compress; known-incompressible blobs would only waste
@@ -499,49 +484,7 @@ void PageStore::LruPushFrontLocked(Shard& shard, PageBlob* blob) {
   if ((blob->flags & (PageBlob::kPinned | PageBlob::kIncompressible)) != 0) {
     return;
   }
-  blob->lru_prev = nullptr;
-  blob->lru_next = shard.lru_head;
-  if (shard.lru_head != nullptr) {
-    shard.lru_head->lru_prev = blob;
-  }
-  shard.lru_head = blob;
-  if (shard.lru_tail == nullptr) {
-    shard.lru_tail = blob;
-  }
-}
-
-void PageStore::LruRemoveLocked(Shard& shard, PageBlob* blob) {
-  if ((blob->flags & PageBlob::kPinned) != 0) {
-    return;
-  }
-  if (blob->lru_prev != nullptr) {
-    blob->lru_prev->lru_next = blob->lru_next;
-  } else if (shard.lru_head == blob) {
-    shard.lru_head = blob->lru_next;
-  }
-  if (blob->lru_next != nullptr) {
-    blob->lru_next->lru_prev = blob->lru_prev;
-  } else if (shard.lru_tail == blob) {
-    shard.lru_tail = blob->lru_prev;
-  }
-  blob->lru_prev = nullptr;
-  blob->lru_next = nullptr;
-}
-
-void PageStore::LruTouchLocked(Shard& shard, PageBlob* blob) {
-  if ((blob->flags & PageBlob::kSpillCand) != 0) {
-    // Spill candidates track recency on their own list; the spill rung eats
-    // from its tail, so a republish hit keeps this blob off disk for longer.
-    SpillCandRemoveLocked(shard, blob);
-    SpillCandPushFrontLocked(shard, blob);
-    return;
-  }
-  if ((blob->flags & PageBlob::kPinned) != 0 ||
-      blob->comp_bytes.load(std::memory_order_relaxed) != 0) {
-    return;
-  }
-  LruRemoveLocked(shard, blob);
-  LruPushFrontLocked(shard, blob);
+  shard.lru.PushFront(blob);
 }
 
 void PageStore::SpillCandPushFrontLocked(Shard& shard, PageBlob* blob) {
@@ -549,32 +492,38 @@ void PageStore::SpillCandPushFrontLocked(Shard& shard, PageBlob* blob) {
     return;
   }
   blob->flags |= PageBlob::kSpillCand;
-  blob->lru_prev = nullptr;
-  blob->lru_next = shard.spill_head;
-  if (shard.spill_head != nullptr) {
-    shard.spill_head->lru_prev = blob;
-  }
-  shard.spill_head = blob;
-  if (shard.spill_tail == nullptr) {
-    shard.spill_tail = blob;
+  shard.spill.PushFront(blob);
+}
+
+void PageStore::UnlistLocked(Shard& shard, PageBlob* blob) {
+  if ((blob->flags & PageBlob::kSpillCand) != 0) {
+    shard.spill.Remove(blob);
+    blob->flags &= static_cast<uint8_t>(~PageBlob::kSpillCand);
+  } else if (blob->comp_bytes.load(std::memory_order_relaxed) == 0 &&
+             (blob->flags & PageBlob::kPinned) == 0) {
+    shard.lru.Remove(blob);
   }
 }
 
-void PageStore::SpillCandRemoveLocked(Shard& shard, PageBlob* blob) {
-  if (blob->lru_prev != nullptr) {
-    blob->lru_prev->lru_next = blob->lru_next;
-  } else if (shard.spill_head == blob) {
-    shard.spill_head = blob->lru_next;
+void PageStore::TouchLocked(Shard& shard, PageBlob* blob) {
+  if ((blob->flags & PageBlob::kSpillCand) != 0) {
+    // Spill candidates track recency on their own list; the spill rung eats
+    // from its tail, so a republish hit keeps this blob off disk for longer.
+    shard.spill.Remove(blob);
+    shard.spill.PushFront(blob);
+    return;
   }
-  if (blob->lru_next != nullptr) {
-    blob->lru_next->lru_prev = blob->lru_prev;
-  } else if (shard.spill_tail == blob) {
-    shard.spill_tail = blob->lru_prev;
+  if ((blob->flags & PageBlob::kPinned) != 0 ||
+      blob->comp_bytes.load(std::memory_order_relaxed) != 0) {
+    return;
   }
-  blob->lru_prev = nullptr;
-  blob->lru_next = nullptr;
-  blob->flags &= static_cast<uint8_t>(~PageBlob::kSpillCand);
+  shard.lru.Remove(blob);
+  LruPushFrontLocked(shard, blob);
 }
+
+// ---------------------------------------------------------------------------
+// Cold-compression tier.
+// ---------------------------------------------------------------------------
 
 bool PageStore::CompressBlobLocked(Shard& shard, PageBlob* blob) {
   counters_.compression_attempts.fetch_add(1, std::memory_order_relaxed);
@@ -582,11 +531,11 @@ bool PageStore::CompressBlobLocked(Shard& shard, PageBlob* blob) {
   // Only worthwhile when the payload actually shrinks: cap the output below
   // kPageSize so incompressible pages stay raw.
   size_t n = Compress(blob->payload, kPageSize, tmp, kPageSize - 1);
+  // The compress rung is done with the blob either way; the next rung down is
+  // disk, which takes a compressed or a raw incompressible payload alike.
+  UnlistLocked(shard, blob);
   if (n == 0) {
     blob->flags |= PageBlob::kIncompressible;
-    LruRemoveLocked(shard, blob);
-    // The compress rung is done with it, but the spill rung can still take
-    // its raw payload to disk.
     SpillCandPushFrontLocked(shard, blob);
     return false;
   }
@@ -596,8 +545,7 @@ bool PageStore::CompressBlobLocked(Shard& shard, PageBlob* blob) {
   std::free(blob->payload);
   blob->payload = small;
   blob->comp_bytes.store(static_cast<uint32_t>(n), std::memory_order_release);
-  LruRemoveLocked(shard, blob);
-  SpillCandPushFrontLocked(shard, blob);  // next rung down is disk
+  SpillCandPushFrontLocked(shard, blob);
   counters_.live_bytes.fetch_sub(kPageSize - n, std::memory_order_relaxed);
   counters_.compressed_blobs.fetch_add(1, std::memory_order_relaxed);
   counters_.compressions.fetch_add(1, std::memory_order_relaxed);
@@ -607,11 +555,9 @@ bool PageStore::CompressBlobLocked(Shard& shard, PageBlob* blob) {
 void PageStore::DecompressBlobLocked(PageBlob* blob) {
   uint32_t comp = blob->comp_bytes.load(std::memory_order_relaxed);
   LW_CHECK(comp != 0);
-  if ((blob->flags & PageBlob::kSpillCand) != 0) {
-    // Re-inflating means the blob is warm again: off the spill-candidate
-    // list, back onto the raw LRU (below).
-    SpillCandRemoveLocked(shards_[blob->shard], blob);
-  }
+  // Re-inflating means the blob is warm again: off the spill-candidate list,
+  // back onto the raw LRU (below).
+  UnlistLocked(shards_[blob->shard], blob);
   uint8_t* raw = static_cast<uint8_t*>(std::malloc(kPageSize));
   LW_CHECK_MSG(raw != nullptr, "host allocation for decompressed payload failed");
   size_t n = Decompress(blob->payload, comp, raw, kPageSize);
@@ -628,20 +574,11 @@ void PageStore::DecompressBlobLocked(PageBlob* blob) {
   LruPushFrontLocked(shards_[blob->shard], blob);  // just touched: warmest again
 }
 
-void PageStore::DecompressBlob(PageBlob* blob) {
-  Shard& shard = shards_[blob->shard];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  // Double-checked: another thread may have re-inflated while we waited.
-  if (blob->comp_bytes.load(std::memory_order_relaxed) != 0) {
-    DecompressBlobLocked(blob);
-  }
-}
-
 bool PageStore::CompressOneColdInShard(uint32_t shard_id) {
   Shard& shard = shards_[shard_id];
   std::lock_guard<std::mutex> lock(shard.mu);
-  while (shard.lru_tail != nullptr) {
-    PageBlob* coldest = shard.lru_tail;
+  while (shard.lru.tail != nullptr) {
+    PageBlob* coldest = shard.lru.tail;
     if (CompressBlobLocked(shard, coldest)) {
       return true;
     }
@@ -651,9 +588,6 @@ bool PageStore::CompressOneColdInShard(uint32_t shard_id) {
 }
 
 bool PageStore::CompressOneCold() {
-  if (!options_.compression) {
-    return false;
-  }
   // Round-robin over shards: "coldest per shard" approximates the global LRU
   // order well enough for a budget policy (the hash spreads content evenly).
   uint32_t start = shard_cursor_.fetch_add(1, std::memory_order_relaxed);
@@ -666,9 +600,6 @@ bool PageStore::CompressOneCold() {
 }
 
 uint64_t PageStore::CompressAllCold() {
-  if (!options_.compression) {
-    return 0;
-  }
   uint64_t count = 0;
   for (uint32_t shard_id = 0; shard_id < kPageStoreShards; ++shard_id) {
     while (CompressOneColdInShard(shard_id)) {
@@ -703,11 +634,7 @@ bool PageStore::SpillBlobLocked(Shard& shard, PageBlob* blob) {
     blob->spill_rec = rec;
   }
   // Payload lives on disk now; only the header stays resident.
-  if ((blob->flags & PageBlob::kSpillCand) != 0) {
-    SpillCandRemoveLocked(shard, blob);
-  } else if (comp == 0 && (blob->flags & PageBlob::kPinned) == 0) {
-    LruRemoveLocked(shard, blob);
-  }
+  UnlistLocked(shard, blob);
   std::free(blob->payload);
   blob->payload = nullptr;
   blob->comp_bytes.store(0, std::memory_order_relaxed);
@@ -756,15 +683,6 @@ void PageStore::FaultBackBlobLocked(PageBlob* blob) {
   }
 }
 
-void PageStore::FaultBackBlob(PageBlob* blob) {
-  Shard& shard = shards_[blob->shard];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  // Double-checked: another thread may have faulted it back while we waited.
-  if (blob->spilled.load(std::memory_order_relaxed) != 0) {
-    FaultBackBlobLocked(blob);
-  }
-}
-
 void PageStore::EnsureResidentLocked(PageBlob* blob) {
   if (blob->spilled.load(std::memory_order_relaxed) != 0) {
     FaultBackBlobLocked(blob);
@@ -773,31 +691,11 @@ void PageStore::EnsureResidentLocked(PageBlob* blob) {
   }
 }
 
-void PageStore::DropSpillStateLocked(PageBlob* blob, uint64_t* spilled_dropped,
-                                     uint64_t* spill_bytes_dropped) {
-  SpillRecord* rec = blob->spill_rec;
-  if (blob->spilled.load(std::memory_order_relaxed) != 0) {
-    *spilled_dropped += 1;
-    *spill_bytes_dropped += rec->len;
-    blob->spilled.store(0, std::memory_order_relaxed);
-  }
-  blob->spill_rec = nullptr;
-  spill_->Free(rec);
-}
-
 bool PageStore::SpillOneColdInShard(uint32_t shard_id) {
   Shard& shard = shards_[shard_id];
   std::lock_guard<std::mutex> lock(shard.mu);
-  // Coldest spill candidate first; when compression is off the candidate
-  // list never fills, so the raw LRU tail is the coldest thing there is.
-  PageBlob* victim = shard.spill_tail;
-  if (victim == nullptr && !options_.compression) {
-    victim = shard.lru_tail;
-  }
-  if (victim == nullptr) {
-    return false;
-  }
-  return SpillBlobLocked(shard, victim);
+  PageBlob* victim = shard.spill.tail;  // coldest spill candidate
+  return victim != nullptr && SpillBlobLocked(shard, victim);
 }
 
 bool PageStore::SpillOneCold() {
@@ -829,22 +727,41 @@ uint64_t PageStore::SpillAllCold() {
 }
 
 // ---------------------------------------------------------------------------
-// Background compactor.
+// The budget ladder's lossless rungs, inline or on the compactor thread.
 // ---------------------------------------------------------------------------
 
-void PageStore::RequestCompaction(uint64_t target_bytes) {
+void PageStore::ShrinkTo(uint64_t target_bytes) {
+  if (live_bytes() <= target_bytes) {
+    return;
+  }
   if (!compactor_.joinable()) {
+    ShrinkInline(target_bytes);
     return;
   }
   {
     std::lock_guard<std::mutex> lock(compactor_mu_);
-    compaction_target_ = compaction_pending_
-                             ? (target_bytes < compaction_target_ ? target_bytes
-                                                                  : compaction_target_)
-                             : target_bytes;
+    if (!compaction_pending_ || target_bytes < compaction_target_) {
+      compaction_target_ = target_bytes;
+    }
     compaction_pending_ = true;
   }
   compactor_cv_.notify_one();
+}
+
+void PageStore::ShrinkInline(uint64_t target_bytes) {
+  while (live_bytes() > target_bytes && CompressOneCold()) {
+  }
+  // Spill rung: take cold payloads to disk until resident bytes fit. A no-op
+  // when the store has no spill tier.
+  while (live_bytes() > target_bytes && SpillOneCold()) {
+  }
+  // Last resort only: when compression and spilling could not bring live
+  // bytes under the target, the recycled free list is pure overhead — return
+  // it to the host. While the target is being met, the free list stays
+  // (recycling blobs is what keeps Publish off the allocator).
+  if (live_bytes() > target_bytes) {
+    TrimFreeList();
+  }
 }
 
 void PageStore::WaitForCompaction() {
@@ -868,22 +785,7 @@ void PageStore::CompactorMain() {
     lock.unlock();
     // Work without the queue lock: sessions keep publishing (and enqueueing
     // lower targets) while we chew the cold tails.
-    while (counters_.live_bytes.load(std::memory_order_relaxed) > target) {
-      if (!CompressOneCold()) {
-        break;
-      }
-    }
-    // The spill rung, off the critical path too: push cold payloads to disk
-    // until resident bytes fit (no-op when the tier is disabled).
-    while (counters_.live_bytes.load(std::memory_order_relaxed) > target) {
-      if (!SpillOneCold()) {
-        break;
-      }
-    }
-    if (counters_.live_bytes.load(std::memory_order_relaxed) > target) {
-      // The drop stage of the budget policy, off the critical path too.
-      TrimFreeList();
-    }
+    ShrinkInline(target);
     lock.lock();
     compactor_busy_ = false;
     if (!compaction_pending_) {

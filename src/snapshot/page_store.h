@@ -10,43 +10,49 @@
 // heaps, symx arenas — therefore share one resident copy.
 //
 // Cold-compression tier: blobs referenced only by parked snapshots go cold (the
-// store approximates "parked-only" by publish/access recency); the byte-budget
-// policy compresses them with the in-tree LZ codec, and the guarded accessors
-// (`CopyTo`/`EqualsPage`/`ReadBytes`) transparently re-inflate on first touch,
-// so Restore never sees compressed bytes. With
-// `PageStoreOptions::background_compaction` the compression itself runs on a
-// store-owned compactor thread: `ByteBudgetPolicy` only enqueues a target and
-// the session returns to the search immediately. Raw payloads are recycled
-// through per-shard free lists when the last reference drops (snapshot trees
-// churn pages at high frequency; malloc per page would dominate).
+// store approximates "parked-only" by publish/access recency); `ShrinkTo`
+// compresses them with the in-tree LZ codec, and the guarded accessors
+// (`CopyTo`/`EqualsPage`/`CopyToIfDifferent`/`ReadBytes`) transparently
+// re-inflate on first touch, so Restore never sees compressed bytes. Raw
+// payloads are recycled through per-shard free lists when the last reference
+// drops (snapshot trees churn pages at high frequency; malloc per page would
+// dominate).
 //
 // Spill tier (opt-in via PageStoreOptions::spill_dir): below the compressed
 // tier sits disk. Blobs the compress rung is done with park on per-shard
-// spill-candidate lists; the byte-budget policy's fourth rung writes their
-// payloads to the SpillTier's append-only, content-hash-keyed segment files
-// and frees the RAM copy (only the blob header stays resident). The same
-// guarded accessors that re-inflate cold blobs fault spilled blobs back
-// transparently — refcounts, dedup identity, and the unique-recycler 1 → 0
-// protocol are oblivious to where the payload lives, so a parked checkpoint
-// population can exceed the RAM budget by orders of magnitude and still
-// restore bit-identically. `ReleaseBatch` dooms spilled blobs without
-// faulting them back (dying payloads never touch RAM again).
+// spill-candidate lists; `ShrinkTo`'s spill rung writes their payloads to the
+// SpillTier's append-only, content-hash-keyed segment files and frees the RAM
+// copy (only the blob header stays resident). The same guarded accessors that
+// re-inflate cold blobs fault spilled blobs back transparently — refcounts,
+// dedup identity, and the unique-recycler 1 → 0 protocol are oblivious to
+// where the payload lives, so a parked checkpoint population can exceed the
+// RAM budget by orders of magnitude and still restore bit-identically.
+// `ReleaseBatch` dooms spilled blobs without faulting them back (dying
+// payloads never touch RAM again).
 //
-// Concurrency model (PR 3 — the store is internally synchronized):
-//   * The index, free lists, and LRU cold lists are split across
+// Byte budget: the store owns the lossless rungs of the budget ladder.
+// `ShrinkTo(target)` runs compress → spill → drop (free-list trim) until live
+// bytes fit; the lossy first rung, evicting frontier entries, belongs to the
+// session that owns the frontier (BacktrackSession::EnforceBudget). With
+// `PageStoreOptions::background_compaction` the same routine runs on a
+// store-owned compactor thread: `ShrinkTo` only enqueues the target and the
+// caller returns to the search immediately.
+//
+// Concurrency model (the store is internally synchronized):
+//   * The index, free lists, and cold lists are split across
 //     `kPageStoreShards` shards selected by content-hash prefix; each shard has
 //     its own mutex, so sessions on different worker threads publishing
 //     different content rarely contend. Blob refcounts and all stats counters
 //     are atomic.
-//   * `Publish`, `ZeroPage`, the guarded page accessors, `CompressOneCold` /
-//     `CompressAllCold`, `TrimFreeList`, `RequestCompaction`, and `stats()` are
-//     all safe to call from any number of threads concurrently.
-//   * Payload bytes are read through the owning shard's lock (`CopyTo`,
-//     `EqualsPage`, `ReadBytes`), which is what makes in-place
-//     compression/decompression safe against concurrent readers. `data()`
-//     remains for externally-synchronized callers (single-threaded tools and
-//     tests): the raw pointer it returns is only stable while no other thread —
-//     including the background compactor — can compress the blob.
+//   * `Publish`, `ZeroPage`, the guarded page accessors, `ShrinkTo` and its
+//     rungs (`CompressOneCold`, `SpillOneCold`, ...), `TrimFreeList`,
+//     `ReleaseBatch`, and `stats()` are all safe to call from any number of
+//     threads concurrently.
+//   * Payload bytes are only ever read through the owning shard's lock
+//     (`CopyTo`, `EqualsPage`, `CopyToIfDifferent`, `ReadBytes`), which is what
+//     makes in-place compression, spilling, and fault-back safe against
+//     concurrent readers and the background compactor. There is no raw
+//     pointer accessor.
 //   * Each PageRef (and therefore each session, snapshot, and frontier entry)
 //     stays owned by one thread at a time; copying/destroying PageRefs is
 //     lock-free refcounting. Sessions themselves are thread-affine — one thread
@@ -112,7 +118,7 @@ struct PageBlob {
   std::atomic<uint32_t> comp_bytes{0};  // 0 = payload holds kPageSize raw bytes
   // 1 = payload is on disk (payload == nullptr, spill_rec locates the bytes).
   // Guarded accessors fault the blob back under the shard lock; the atomic
-  // exists for the lock-free fast checks in data()/PageRef::spilled().
+  // exists for the lock-free check in PageRef::spilled().
   std::atomic<uint8_t> spilled{0};
   uint64_t hash = 0;  // content hash; valid while indexed
   uint32_t owner = 0;  // first publisher (dedup attribution only)
@@ -173,20 +179,13 @@ class PageRef {
 
   bool valid() const { return blob_ != nullptr; }
 
-  // Guarded accessors: each runs under the blob's shard lock, re-inflating a
-  // cold blob first, so they are safe against concurrent publishes and the
-  // background compactor. Engines restore through these.
+  // The only reads of payload bytes: each runs under the blob's shard lock,
+  // re-inflating a cold blob or faulting a spilled one back first, so they are
+  // safe against concurrent publishes and the background compactor.
   void CopyTo(void* dst) const;                            // full-page memcpy
   bool EqualsPage(const void* src) const;                  // full-page memcmp
   bool CopyToIfDifferent(void* dst) const;                 // memcmp, memcpy on mismatch
   void ReadBytes(size_t offset, void* dst, size_t len) const;  // sub-page read
-
-  // Raw page bytes for externally-synchronized callers (single-threaded tools,
-  // tests). Touching a cold (compressed) blob re-inflates it in place; the
-  // pointer is stable only while no other thread — including a background
-  // compactor — can compress this blob. Concurrent contexts must use the
-  // guarded accessors above.
-  inline const uint8_t* data() const;
 
   uint32_t refcount() const {
     return blob_ != nullptr ? blob_->refcount.load(std::memory_order_relaxed) : 0;
@@ -224,13 +223,10 @@ class PageRef {
 };
 
 struct PageStoreOptions {
-  bool content_dedup = true;  // 64-bit hash index; off = zero-page dedup only
-  bool compression = true;    // cold tier available to the byte-budget policy
-  // Run cold compression on a store-owned compactor thread. When set,
-  // ByteBudgetPolicy::Enforce only enqueues a byte target (RequestCompaction)
-  // and returns; the compactor works the LRU cold tails off the critical path.
-  // When clear (default), compression stays synchronous and deterministic —
-  // the right mode for single-threaded tools and tests.
+  // Run ShrinkTo's rungs on a store-owned compactor thread. When set, ShrinkTo
+  // only enqueues a byte target and returns; the compactor works the cold
+  // tails off the critical path. When clear (default), ShrinkTo runs inline
+  // and deterministically — the right mode for single-threaded tools and tests.
   bool background_compaction = false;
   // Non-empty = enable the spill tier (fourth budget rung): cold blobs can be
   // evicted to append-only segment files under this directory and are faulted
@@ -269,9 +265,25 @@ class PageStore {
   // by every all-zero publish.
   PageRef ZeroPage();
 
+  // Brings live bytes down to `target_bytes` with the lossless rungs of the
+  // budget ladder, in order: compress cold blobs, spill cold payloads to disk
+  // (when the spill tier is on), and — last resort, only while still over —
+  // return the recycled free lists to the host. Each rung visits the shards
+  // round robin and runs until the target is met or it has nothing left. A
+  // no-op when live bytes already fit. On a `background_compaction` store the
+  // target is enqueued for the compactor thread (the lowest pending target
+  // wins) and the call returns immediately; otherwise it runs inline.
+  void ShrinkTo(uint64_t target_bytes);
+  // Blocks until the compactor's queue is drained and it is idle (no-op
+  // without background_compaction); tests and benches use this to make
+  // residency deterministic.
+  void WaitForCompaction();
+  bool background_compaction() const { return compactor_.joinable(); }
+
+  // The ladder's rungs, one step at a time (ShrinkTo drives these).
   // Compresses one cold compressible blob (per-shard LRU tails, visited round
   // robin — the approximation of "referenced only by parked snapshots").
-  // Returns false when nothing is left to compress or compression is disabled.
+  // Returns false when nothing is left to compress.
   bool CompressOneCold();
 
   // Compresses every compressible blob; returns how many were compressed.
@@ -279,9 +291,9 @@ class PageStore {
   uint64_t CompressAllCold();
 
   // Spills one cold blob's payload to the disk tier (per-shard spill-candidate
-  // tails — blobs the compress rung already handled — visited round robin;
-  // falls back to the raw LRU tails when compression is disabled). Returns
-  // false when nothing is left to spill or the tier is disabled/unavailable.
+  // tails — blobs the compress rung already handled — visited round robin).
+  // Returns false when nothing is left to spill or the tier is
+  // disabled/unavailable.
   bool SpillOneCold();
 
   // Spills every spillable blob; returns how many were spilled. The disk-tier
@@ -293,16 +305,8 @@ class PageStore {
   // Why the tier is disabled (OK when spill_enabled() or spill never asked for).
   const Status& spill_status() const { return spill_status_; }
 
-  // Background compactor interface (no-ops unless
-  // options().background_compaction):
-  //   RequestCompaction(target) — enqueue "compress cold blobs until live
-  //     bytes ≤ target, then drop free lists if still over"; cheapest target
-  //     wins when requests pile up. Returns immediately.
-  //   WaitForCompaction() — block until the queue is drained and the compactor
-  //     is idle (tests and benches use this to make residency deterministic).
-  void RequestCompaction(uint64_t target_bytes);
-  void WaitForCompaction();
-  bool background_compaction() const { return compactor_.joinable(); }
+  // Live bytes (Stats::live_bytes) as one relaxed load, for budget loops.
+  uint64_t live_bytes() const { return counters_.live_bytes.load(std::memory_order_relaxed); }
 
   struct Stats {
     uint64_t live_blobs = 0;     // blobs with refcount > 0
@@ -376,19 +380,24 @@ class PageStore {
  private:
   friend class PageRef;
 
+  // Intrusive recency list threaded through PageBlob::lru_prev/lru_next: head
+  // is the most recently touched blob, tail the coldest. A blob sits on at
+  // most one list (PageBlob::kSpillCand says which); Remove of a blob on
+  // neither is a no-op because its links are null.
+  struct ColdList {
+    internal::PageBlob* head = nullptr;
+    internal::PageBlob* tail = nullptr;
+    void PushFront(internal::PageBlob* blob);
+    void Remove(internal::PageBlob* blob);
+  };
+
   struct Shard {
     mutable std::mutex mu;
     std::vector<internal::PageBlob*> index;  // open-addressed, linear probing
     size_t index_used = 0;
     internal::PageBlob* free_list = nullptr;
-    internal::PageBlob* lru_head = nullptr;  // most recently touched
-    internal::PageBlob* lru_tail = nullptr;  // coldest
-    // Spill-candidate list: blobs the compress rung is done with (compressed
-    // or proven incompressible), ordered by recency like the LRU list and
-    // sharing the lru_prev/lru_next links (kSpillCand marks which list owns
-    // them). The spill rung eats from the tail.
-    internal::PageBlob* spill_head = nullptr;
-    internal::PageBlob* spill_tail = nullptr;
+    ColdList lru;    // raw compressible blobs; the compress rung eats the tail
+    ColdList spill;  // blobs the compress rung is done with; the spill rung eats the tail
   };
 
   // Atomic mirror of Stats (stats() flattens this into the POD snapshot).
@@ -416,39 +425,55 @@ class PageStore {
     std::atomic<uint64_t> faultbacks{0};
   };
 
+  // Counter deltas of recycled blobs, applied with one read-modify-write per
+  // touched counter (ApplyRecycleTally).
+  struct RecycleTally {
+    uint64_t blobs = 0;
+    uint64_t live_bytes = 0;   // header + payload bytes leaving the live set
+    uint64_t free_bytes = 0;   // header + retained payload bytes joining the free lists
+    uint64_t compressed = 0;   // compressed payloads freed
+    uint64_t spilled = 0;      // spilled blobs dropped without fault-back
+    uint64_t spill_bytes = 0;  // their on-disk payload bytes
+  };
+
   // All *Locked helpers require the blob's (or given shard's) mutex held.
   internal::PageBlob* AcquireBlobLocked(Shard& shard, uint32_t shard_id);
-  void RecycleBlob(internal::PageBlob* blob);  // takes the shard lock itself
-  void RecycleBlobLocked(Shard& shard, internal::PageBlob* blob);
+  // The per-ref 1 → 0 path: one shard-lock hold around RecycleLocked.
+  void RecycleBlob(internal::PageBlob* blob);
+  // Unindexes and unlists a dead blob, drops its spill record, frees a
+  // compressed payload, and pushes the header onto the shard's free list. The
+  // one recycle routine behind RecycleBlob, ReleaseBatch, and the collision
+  // path of IndexFindLocked.
+  void RecycleLocked(Shard& shard, internal::PageBlob* blob, RecycleTally* tally);
+  void ApplyRecycleTally(const RecycleTally& tally);
 
   void IndexInsertLocked(Shard& shard, internal::PageBlob* blob);
   void IndexRemoveLocked(Shard& shard, internal::PageBlob* blob);
   void IndexGrowLocked(Shard& shard);
   internal::PageBlob* IndexFindLocked(Shard& shard, uint64_t hash, const void* src);
 
+  // Cold-list admission: each list keeps its own filter.
   void LruPushFrontLocked(Shard& shard, internal::PageBlob* blob);
-  void LruRemoveLocked(Shard& shard, internal::PageBlob* blob);
-  void LruTouchLocked(Shard& shard, internal::PageBlob* blob);
-
   void SpillCandPushFrontLocked(Shard& shard, internal::PageBlob* blob);
-  void SpillCandRemoveLocked(Shard& shard, internal::PageBlob* blob);
+  // Takes the blob off whichever cold list holds it.
+  void UnlistLocked(Shard& shard, internal::PageBlob* blob);
+  // Moves a listed blob to the warm end of its list.
+  void TouchLocked(Shard& shard, internal::PageBlob* blob);
 
   bool CompressBlobLocked(Shard& shard, internal::PageBlob* blob);
   void DecompressBlobLocked(internal::PageBlob* blob);
-  void DecompressBlob(internal::PageBlob* blob);  // takes the shard lock itself
   bool CompressOneColdInShard(uint32_t shard_id);
 
   bool SpillBlobLocked(Shard& shard, internal::PageBlob* blob);
   void FaultBackBlobLocked(internal::PageBlob* blob);
-  void FaultBackBlob(internal::PageBlob* blob);  // takes the shard lock itself
   // Fault back and/or decompress so payload holds raw page bytes. The single
   // entry point the guarded accessors (and index probes) go through.
   void EnsureResidentLocked(internal::PageBlob* blob);
   bool SpillOneColdInShard(uint32_t shard_id);
-  // Drops the blob's spill record (if any) and its spilled-byte accounting.
-  // Shared by both recycle paths; never faults the payload back.
-  void DropSpillStateLocked(internal::PageBlob* blob, uint64_t* spilled_dropped,
-                            uint64_t* spill_bytes_dropped);
+
+  // The compress → spill → drop loop behind ShrinkTo, inline or on the
+  // compactor thread.
+  void ShrinkInline(uint64_t target_bytes);
 
   static void BumpPeak(std::atomic<uint64_t>& peak, uint64_t value);
 
@@ -458,7 +483,7 @@ class PageStore {
   std::unique_ptr<SpillTier> spill_;  // null = spill disabled
   Status spill_status_;               // why, when spill_dir was set but open failed
   Shard shards_[kPageStoreShards];
-  std::atomic<uint32_t> shard_cursor_{0};  // round-robin for non-dedup placement + compaction
+  std::atomic<uint32_t> shard_cursor_{0};  // round-robin start of the ladder's rungs
   std::once_flag zero_once_;
   PageRef zero_page_;
   std::atomic<uint32_t> next_owner_{1};
@@ -488,17 +513,6 @@ inline void PageRef::Release() {
     blob_->store->RecycleBlob(blob_);
   }
   blob_ = nullptr;
-}
-
-inline const uint8_t* PageRef::data() const {
-  LW_CHECK(blob_ != nullptr);
-  if (blob_->spilled.load(std::memory_order_acquire) != 0) {
-    blob_->store->FaultBackBlob(blob_);
-  }
-  if (blob_->comp_bytes.load(std::memory_order_acquire) != 0) {
-    blob_->store->DecompressBlob(blob_);
-  }
-  return blob_->payload;
 }
 
 }  // namespace lw

@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/snapshot/budget_policy.h"
 #include "src/snapshot/page_store.h"
 #include "src/util/rng.h"
 
@@ -97,10 +96,10 @@ TEST(PageStoreConcurrencyTest, CompressionRacingPublishKeepsBytesExact) {
   std::atomic<bool> stop{false};
 
   // Compactor pressure from two directions: the background thread (via
-  // RequestCompaction) and a foreground thread hammering the synchronous API.
+  // ShrinkTo) and a foreground thread hammering the synchronous API.
   std::thread squeezer([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      store.RequestCompaction(0);  // "compress everything you can"
+      store.ShrinkTo(0);  // "compress everything you can"
       store.CompressOneCold();
     }
   });
@@ -148,9 +147,10 @@ TEST(PageStoreConcurrencyTest, CompressionRacingPublishKeepsBytesExact) {
 }
 
 TEST(PageStoreConcurrencyTest, ConcurrentEnforceConvergesOnFleetCap) {
-  // The ByteBudgetPolicy contract for shared stores: concurrent Enforce calls
-  // from sharers (each evicting only its own frontier) are safe and jointly
-  // converge on the one fleet-wide cap.
+  // The budget contract for shared stores: sharers on different threads, each
+  // evicting only its own frontier and then calling ShrinkTo (the session's
+  // EnforceBudget shape), are safe and jointly converge on the one fleet-wide
+  // cap.
   PageStore store;
   constexpr uint32_t kPagesPerThread = 64;
   const uint64_t per_blob = sizeof(internal::PageBlob) + kPageSize;
@@ -164,15 +164,11 @@ TEST(PageStoreConcurrencyTest, ConcurrentEnforceConvergesOnFleetCap) {
         auto page = TaggedPage(static_cast<uint32_t>(t) * kPagesPerThread + i);
         frontier.push_back(store.Publish(page.data()));
       }
-      ByteBudgetPolicy policy;
       for (int round = 0; round < 8; ++round) {
-        policy.Enforce(store, budget, [&frontier] {
-          if (frontier.empty()) {
-            return false;
-          }
+        while (store.live_bytes() > budget && !frontier.empty()) {
           frontier.pop_back();
-          return true;
-        });
+        }
+        store.ShrinkTo(budget);
       }
       frontier.clear();
     });
@@ -181,9 +177,9 @@ TEST(PageStoreConcurrencyTest, ConcurrentEnforceConvergesOnFleetCap) {
     thread.join();
   }
   // Everything evictable was evicted and every thread exited cleanly; with all
-  // frontiers dropped the store drains, and one final Enforce (nothing left to
-  // evict) holds the cap.
-  ByteBudgetPolicy().Enforce(store, budget, [] { return false; });
+  // frontiers dropped the store drains, and one final ShrinkTo (nothing left
+  // to evict) holds the cap.
+  store.ShrinkTo(budget);
   EXPECT_LE(store.stats().bytes_live(), budget);
   EXPECT_EQ(store.stats().live_blobs, 0u);
 }

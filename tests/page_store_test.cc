@@ -1,16 +1,16 @@
 // Tests for the content-addressed PageStore substrate: the in-tree LZ codec,
 // hash-dedup semantics (identity, refcounts, owner attribution), the
-// cold-compression tier's exact-parity guarantee, and the unified
-// evict → compress → spill → drop ByteBudgetPolicy (spill rung covered in
-// spill_tier_test.cc; here the stores have no spill_dir, so the ladder
-// skips that rung and the spill counters must stay exactly zero).
+// cold-compression tier's exact-parity guarantee, and the store's lossless
+// budget rungs, PageStore::ShrinkTo: compress → spill → drop (spill rung
+// covered in spill_tier_test.cc; here the stores have no spill_dir, so the
+// ladder skips that rung and the spill counters must stay exactly zero). The
+// evict rung belongs to the session and is tested in session_test.cc.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
-#include "src/snapshot/budget_policy.h"
 #include "src/snapshot/codec.h"
 #include "src/snapshot/page_store.h"
 #include "src/util/rng.h"
@@ -140,7 +140,9 @@ TEST(PageStoreContentDedupTest, DeadContentIsForgotten) {
   PageRef b = store.Publish(page.data());
   EXPECT_EQ(store.stats().content_dedup_hits, 0u);
   EXPECT_EQ(store.stats().total_published, 2u);
-  EXPECT_EQ(b.data()[0], 9);
+  uint8_t first = 0;
+  b.ReadBytes(0, &first, 1);
+  EXPECT_EQ(first, 9);
 }
 
 TEST(PageStoreContentDedupTest, CrossOwnerHitsAreAttributed) {
@@ -153,20 +155,6 @@ TEST(PageStoreContentDedupTest, CrossOwnerHitsAreAttributed) {
   PageRef c = store.Publish(page.data(), session_b);  // different session: cross
   EXPECT_EQ(store.stats().content_dedup_hits, 2u);
   EXPECT_EQ(store.stats().cross_session_dedup_hits, 1u);
-}
-
-TEST(PageStoreContentDedupTest, DedupOffFallsBackToDistinctBlobs) {
-  PageStoreOptions options;
-  options.content_dedup = false;
-  PageStore store(options);
-  auto page = PatternPage(3);
-  PageRef a = store.Publish(page.data());
-  PageRef b = store.Publish(page.data());
-  EXPECT_NE(a, b);  // the pre-PageStore baseline behaviour
-  EXPECT_EQ(store.stats().content_dedup_hits, 0u);
-  std::vector<uint8_t> zeros(kPageSize, 0);
-  PageRef z = store.Publish(zeros.data());
-  EXPECT_EQ(z, store.ZeroPage());  // zero dedup stays on: it is the degenerate entry
 }
 
 TEST(PageStoreContentDedupTest, ManyDistinctPagesSurviveIndexGrowth) {
@@ -201,7 +189,9 @@ TEST(PageStoreContentDedupTest, ChurnKeepsIndexConsistent) {
       std::memcpy(page.data(), &tag, sizeof(tag));
       page[8] = 1;  // defeat zero-page collapse for tag 0
       PageRef ref = store.Publish(page.data());
-      ASSERT_EQ(*reinterpret_cast<const uint32_t*>(ref.data()), tag);
+      uint32_t got = 0;
+      ref.ReadBytes(0, &got, sizeof(got));
+      ASSERT_EQ(got, tag);
       live.emplace_back(tag, std::move(ref));
     } else {
       size_t i = static_cast<size_t>(rng.Below(live.size()));
@@ -209,7 +199,9 @@ TEST(PageStoreContentDedupTest, ChurnKeepsIndexConsistent) {
     }
   }
   for (auto& [tag, ref] : live) {
-    ASSERT_EQ(*reinterpret_cast<const uint32_t*>(ref.data()), tag);
+    uint32_t got = 0;
+    ref.ReadBytes(0, &got, sizeof(got));
+    ASSERT_EQ(got, tag);
   }
 }
 
@@ -226,11 +218,13 @@ TEST(PageStoreCompressionTest, CompressionPreservesExactBytes) {
   EXPECT_EQ(store.CompressAllCold(), 8u);
   EXPECT_EQ(store.stats().compressed_blobs, 8u);
   EXPECT_LT(store.stats().bytes_live(), raw_bytes);
-  // data() transparently re-inflates; content must be byte-exact.
+  // CopyTo transparently re-inflates; content must be byte-exact.
+  std::vector<uint8_t> got(kPageSize);
   for (uint8_t i = 1; i <= 8; ++i) {
     auto want = CompressiblePage(i);
     EXPECT_TRUE(refs[i - 1].compressed());
-    EXPECT_EQ(std::memcmp(refs[i - 1].data(), want.data(), kPageSize), 0);
+    refs[i - 1].CopyTo(got.data());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), kPageSize), 0);
     EXPECT_FALSE(refs[i - 1].compressed());  // warmed by the touch
   }
   EXPECT_EQ(store.stats().compressed_blobs, 0u);
@@ -251,7 +245,9 @@ TEST(PageStoreCompressionTest, IncompressiblePagesStayRaw) {
   PageRef ref = store.Publish(noise.data());
   EXPECT_EQ(store.CompressAllCold(), 0u);
   EXPECT_FALSE(ref.compressed());
-  EXPECT_EQ(std::memcmp(ref.data(), noise.data(), kPageSize), 0);
+  std::vector<uint8_t> got(kPageSize);
+  ref.CopyTo(got.data());
+  EXPECT_EQ(std::memcmp(got.data(), noise.data(), kPageSize), 0);
 }
 
 TEST(PageStoreCompressionTest, DedupAgainstColdBlobWarmsIt) {
@@ -289,57 +285,30 @@ TEST(PageStoreCompressionTest, ReleasingColdBlobReclaimsBytes) {
   EXPECT_EQ(store.stats().bytes_resident(), 0u);
 }
 
-// --- ByteBudgetPolicy: evict → compress → spill → drop (no spill_dir here) --------
+// --- ShrinkTo: compress → spill → drop (no spill_dir here) ----------------------
 
-TEST(ByteBudgetPolicyTest, UnboundedBudgetDoesNothing) {
+TEST(PageStoreShrinkTest, TargetAboveLiveBytesDoesNothing) {
   PageStore store;
   auto page = CompressiblePage(1);
   PageRef ref = store.Publish(page.data());
-  int evict_calls = 0;
-  ByteBudgetPolicy().Enforce(store, 0, [&evict_calls] {
-    ++evict_calls;
-    return false;
-  });
-  EXPECT_EQ(evict_calls, 0);
+  store.ShrinkTo(store.stats().bytes_live());
+  EXPECT_EQ(store.stats().compression_attempts, 0u);
   EXPECT_EQ(store.stats().compressed_blobs, 0u);
 }
 
-TEST(ByteBudgetPolicyTest, EvictionRunsBeforeCompression) {
-  PageStore store;
-  std::vector<PageRef> frontier;
-  for (uint8_t i = 1; i <= 16; ++i) {
-    auto page = CompressiblePage(i);
-    frontier.push_back(store.Publish(page.data()));
-  }
-  uint64_t budget = store.stats().bytes_live() - 1;  // one page over
-  ByteBudgetPolicy().Enforce(store, budget, [&frontier] {
-    if (frontier.empty()) {
-      return false;
-    }
-    frontier.pop_back();
-    return true;
-  });
-  // One eviction sufficed: compression never ran.
-  EXPECT_EQ(frontier.size(), 15u);
-  EXPECT_EQ(store.stats().compressed_blobs, 0u);
-  EXPECT_LE(store.stats().bytes_live(), budget);
-}
-
-TEST(ByteBudgetPolicyTest, CompressionCatchesWhatEvictionCannot) {
+TEST(PageStoreShrinkTest, CompressionCatchesWhatEvictionCannot) {
   // The acceptance scenario: same budget, nothing evictable (all pages pinned
-  // by parked snapshots) — the compressed store ends below the uncompressed
-  // baseline's floor.
-  auto run = [](bool compression) {
-    PageStoreOptions options;
-    options.compression = compression;
-    PageStore store(options);
+  // by parked snapshots) — a compressible population ends below the floor of
+  // an incompressible one of the same size.
+  auto run = [](bool compressible) {
+    PageStore store;
     std::vector<PageRef> parked;
     for (uint8_t i = 1; i <= 16; ++i) {
-      auto page = CompressiblePage(i);
+      auto page = compressible ? CompressiblePage(i) : RandomPage(i);
       parked.push_back(store.Publish(page.data()));
     }
     uint64_t budget = store.stats().bytes_live() / 2;
-    ByteBudgetPolicy().Enforce(store, budget, [] { return false; });  // nothing evictable
+    store.ShrinkTo(budget);
     uint64_t live = store.stats().bytes_live();
     uint64_t cold = store.stats().compressed_blobs;
     parked.clear();
@@ -352,30 +321,30 @@ TEST(ByteBudgetPolicyTest, CompressionCatchesWhatEvictionCannot) {
   EXPECT_LT(compressed_live, baseline_live);  // lower live bytes under the same budget
 }
 
-TEST(ByteBudgetPolicyTest, DropStageIsLastResortOnly) {
-  PageStoreOptions options;
-  options.compression = false;  // force stage 2 to fail
-  PageStore store(options);
+TEST(PageStoreShrinkTest, DropStageIsLastResortOnly) {
+  // Random pages: the compress rung has nothing it can shrink.
+  PageStore store;
   std::vector<PageRef> pinned;
   {
     std::vector<PageRef> churn;
-    for (uint8_t i = 1; i <= 4; ++i) {
-      auto page = PatternPage(i);
+    for (uint64_t i = 1; i <= 4; ++i) {
+      auto page = RandomPage(i);
       churn.push_back(store.Publish(page.data()));
     }
   }
   ASSERT_GT(store.stats().free_blobs, 0u);
 
-  // Budget met by live bytes alone: the free list must survive (recycling is
+  // Target met by live bytes alone: the free list must survive (recycling is
   // what keeps Publish off the host allocator while the budget holds).
-  ByteBudgetPolicy().Enforce(store, store.stats().bytes_live() + 1, [] { return false; });
+  store.ShrinkTo(store.stats().bytes_live() + 1);
   EXPECT_GT(store.stats().free_blobs, 0u);
 
-  // Budget unmeetable (nothing evictable, nothing compressible): the free
-  // list is pure overhead now — the drop stage returns it to the host.
-  auto page = PatternPage(9);
+  // Target unmeetable (nothing compressible, no spill tier): the free list is
+  // pure overhead now — the drop stage returns it to the host.
+  auto page = RandomPage(9);
   pinned.push_back(store.Publish(page.data()));
-  ByteBudgetPolicy().Enforce(store, 1, [] { return false; });
+  store.ShrinkTo(1);
+  EXPECT_EQ(store.stats().compressed_blobs, 0u);
   EXPECT_EQ(store.stats().free_blobs, 0u);
 }
 

@@ -6,9 +6,10 @@
 //   * spine-only descent — releasing a map that shares all but D pages with a
 //     live sibling visits O(D · height) radix nodes and never descends a
 //     shared subtree;
-//   * session-level parity — the same checkpoint storm under
-//     batched_release={true,false} ends with identical store residency for
-//     every engine;
+//   * session-level residency — after a checkpoint release storm the store
+//     holds exactly the distinct blobs the session still references (the
+//     engine's current map and the last resumed snapshot) plus the canonical
+//     zero blob, for every engine;
 //   * concurrency — sessions on different threads batching releases into one
 //     shared store never corrupt it.
 
@@ -244,14 +245,14 @@ void StormGuest(void*) {
 struct StormRun {
   PageStore::Stats store;
   SessionStats session;
+  uint64_t held_blobs = 0;  // distinct blobs the session still references, plus the zero blob
 };
 
-StormRun RunCheckpointStorm(SnapshotMode mode, bool batched) {
+StormRun RunCheckpointStorm(SnapshotMode mode) {
   SessionOptions options;
   options.arena_bytes = 8ull << 20;
   options.guest_stack_bytes = 256 * 1024;
   options.snapshot_mode = mode;
-  options.batched_release = batched;
   options.output = [](std::string_view) {};
   auto store = std::make_shared<PageStore>();
   options.store = store;
@@ -263,6 +264,9 @@ StormRun RunCheckpointStorm(SnapshotMode mode, bool batched) {
     auto tokens = session.TakeNewCheckpoints();
     EXPECT_EQ(tokens.size(), 1u);
     Checkpoint root = std::move(tokens[0]);
+    // The root checkpoint's page map: the run just captured it from the live
+    // arena. This copy pins only blobs the session pins anyway (see below).
+    const PageMap root_map = session.engine().current_map();
     // Star shape: every sibling forks from the same root, sharing all pages
     // but its own small dirty delta — so releasing a sibling actually kills
     // its delta blobs (a linear chain would keep each map pinned through its
@@ -285,39 +289,56 @@ StormRun RunCheckpointStorm(SnapshotMode mode, bool batched) {
     EXPECT_TRUE(session.ReleaseCheckpoint(root).ok());
     run.session = session.stats();
     run.store = store->stats();
+    // With every checkpoint handle gone, the page refs left are the live
+    // arena's (the engine's current map), the root's (the session keeps the
+    // last resumed snapshot as the parent of its next capture), and the
+    // store's own zero blob.
+    const PageRef zero = store->ZeroPage();
+    std::vector<const PageRef*> held = {&zero};
+    for (const PageMap* map : {&session.engine().current_map(), &root_map}) {
+      for (uint32_t page = 0; page < map->num_pages(); ++page) {
+        const PageRef& ref = map->Peek(page);
+        bool seen = !ref.valid();
+        for (size_t i = 0; i < held.size() && !seen; ++i) {
+          seen = *held[i] == ref;
+        }
+        if (!seen) {
+          held.push_back(&ref);
+        }
+      }
+    }
+    run.held_blobs = held.size();
   }
   return run;
 }
 
 class ReleaseStormParityTest : public ::testing::TestWithParam<SnapshotMode> {};
 
-TEST_P(ReleaseStormParityTest, BatchedResidencyMatchesPerRef) {
+TEST_P(ReleaseStormParityTest, ResidencyMatchesHeldMapsAfterStorm) {
   const char* reason = nullptr;
   if (SkipForMode(GetParam(), &reason)) {
     GTEST_SKIP() << reason;
   }
-  const StormRun per_ref = RunCheckpointStorm(GetParam(), /*batched=*/false);
-  const StormRun batched = RunCheckpointStorm(GetParam(), /*batched=*/true);
+  const StormRun run = RunCheckpointStorm(GetParam());
+  EXPECT_EQ(run.session.checkpoints, 17u);  // the root plus 16 siblings
+  EXPECT_EQ(run.session.resumes, 16u);
 
-  // End-state residency is bit-identical: the batch changes lock traffic and
-  // walk order, never which blobs live or die.
-  EXPECT_EQ(per_ref.store.live_blobs, batched.store.live_blobs);
-  EXPECT_EQ(per_ref.store.live_bytes, batched.store.live_bytes);
-  EXPECT_EQ(per_ref.store.free_blobs, batched.store.free_blobs);
-  EXPECT_EQ(per_ref.store.free_bytes, batched.store.free_bytes);
-  EXPECT_EQ(per_ref.store.total_published, batched.store.total_published);
-  EXPECT_EQ(per_ref.session.checkpoints, batched.session.checkpoints);
-  EXPECT_EQ(per_ref.session.resumes, batched.session.resumes);
+  // End-state residency is exactly what the session still references: the
+  // batches recycled every blob no longer reachable, and nothing else. No budget ran, so every live
+  // and every free blob keeps a raw payload.
+  const uint64_t per_blob = sizeof(internal::PageBlob) + kPageSize;
+  EXPECT_EQ(run.store.live_blobs, run.held_blobs);
+  EXPECT_EQ(run.store.live_bytes, run.held_blobs * per_blob);
+  EXPECT_GT(run.store.free_blobs, 0u);
+  EXPECT_EQ(run.store.free_bytes, run.store.free_blobs * per_blob);
 
-  // Only the batched run went through ReleaseBatch, and it mirrored the
-  // counters into the session stats.
-  EXPECT_EQ(per_ref.store.release_batches, 0u);
-  EXPECT_GT(batched.store.release_batches, 0u);
-  EXPECT_GT(batched.store.blobs_recycled_batched, 0u);
-  EXPECT_LE(batched.store.release_shard_locks,
-            batched.store.release_batches * kPageStoreShards);
-  EXPECT_EQ(batched.session.release_batches, batched.store.release_batches);
-  EXPECT_EQ(batched.session.blobs_recycled_batched, batched.store.blobs_recycled_batched);
+  // Releases went through ReleaseBatch, and the session mirrored its
+  // counters.
+  EXPECT_GT(run.store.release_batches, 0u);
+  EXPECT_GT(run.store.blobs_recycled_batched, 0u);
+  EXPECT_LE(run.store.release_shard_locks, run.store.release_batches * kPageStoreShards);
+  EXPECT_EQ(run.session.release_batches, run.store.release_batches);
+  EXPECT_EQ(run.session.blobs_recycled_batched, run.store.blobs_recycled_batched);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, ReleaseStormParityTest,

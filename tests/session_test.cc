@@ -515,6 +515,66 @@ void BufferedOutputGuest(void*) {
   }
 }
 
+// --- Byte budget: eviction before the store's lossless rungs ----------------------
+
+constexpr int kBudgetBranches = 16;
+
+// SM-A* with two levels: every root extension (f = 1) writes a compressible
+// page unique to its branch and parks one child (f = 10), so all children pile
+// up in the frontier, each pinning its own blobs. Evicting the worst child
+// frees them again.
+void EvictionLadderGuest(void*) {
+  auto* page = static_cast<uint8_t*>(Session()->heap()->Alloc(2 * kPageSize));
+  page = reinterpret_cast<uint8_t*>((reinterpret_cast<uintptr_t>(page) + kPageSize - 1) &
+                                    ~static_cast<uintptr_t>(kPageSize - 1));
+  if (sys_guess_strategy(StrategyKind::kSmaStar)) {
+    GuessCost roots[kBudgetBranches];
+    for (GuessCost& cost : roots) {
+      cost = {1.0, 0.0};
+    }
+    int branch = sys_guess_weighted(kBudgetBranches, roots);
+    std::memset(page, branch + 1, kPageSize);
+    GuessCost child = {10.0, 0.0};
+    sys_guess_weighted(1, &child);
+    sys_guess_fail();
+  }
+}
+
+PageStore::Stats RunEvictionLadder(uint64_t budget, SessionStats* session_stats) {
+  SessionOptions options = SmallOptions();
+  options.strategy.kind = StrategyKind::kSmaStar;
+  options.snapshot_byte_budget = budget;
+  BacktrackSession session(options);
+  EXPECT_TRUE(session.Run(&EvictionLadderGuest, nullptr).ok());
+  *session_stats = session.stats();
+  return session.store().stats();
+}
+
+TEST(SessionBudgetTest, EvictionRunsBeforeCompression) {
+  SessionStats unbounded_stats;
+  const PageStore::Stats unbounded = RunEvictionLadder(0, &unbounded_stats);
+  EXPECT_EQ(unbounded_stats.evictions, 0u);  // budget 0 = unbounded: no rung runs
+  EXPECT_EQ(unbounded.compression_attempts, 0u);
+  EXPECT_GT(unbounded.free_blobs, 0u);  // not even the drop rung
+
+  // Half the unbounded peak: the run crosses the budget again and again, and
+  // evicting parked children (whose private pages the live arena does not
+  // share) always meets it, so the compress rung never runs. The peak moves
+  // by a blob or two between sessions, so the budget keeps a wide margin.
+  SessionStats tight_stats;
+  const PageStore::Stats tight = RunEvictionLadder(unbounded.peak_live_bytes / 2, &tight_stats);
+  EXPECT_GT(tight_stats.evictions, 0u);
+  EXPECT_EQ(tight.compression_attempts, 0u);
+  EXPECT_EQ(tight.compressions, 0u);
+
+  // The same population is compressible: a budget eviction cannot meet does
+  // reach the compress rung.
+  SessionStats starved_stats;
+  const PageStore::Stats starved = RunEvictionLadder(1, &starved_stats);
+  EXPECT_GT(starved_stats.evictions, 0u);
+  EXPECT_GT(starved.compressions, 0u);
+}
+
 TEST(SessionTest, BufferedOutputDropsFailedPaths) {
   SessionOptions options = SmallOptions();
   options.buffer_output = true;

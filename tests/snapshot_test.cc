@@ -25,8 +25,10 @@ TEST(PageStoreTest, PublishCopiesContent) {
   auto page = PatternPage(0x5a);
   PageRef ref = store.Publish(page.data());
   page[0] = 0;  // source mutation must not affect the blob
-  EXPECT_EQ(ref.data()[0], 0x5a);
-  EXPECT_EQ(ref.data()[kPageSize - 1], 0x5a);
+  std::vector<uint8_t> got(kPageSize);
+  ref.CopyTo(got.data());
+  EXPECT_EQ(got[0], 0x5a);
+  EXPECT_EQ(got[kPageSize - 1], 0x5a);
 }
 
 TEST(PageStoreTest, RefcountLifecycle) {
@@ -72,8 +74,10 @@ TEST(PageStoreTest, ZeroPageIsDeduplicated) {
   PageRef a = store.ZeroPage();
   PageRef b = store.ZeroPage();
   EXPECT_EQ(a, b);
+  std::vector<uint8_t> got(kPageSize, 0xff);
+  a.CopyTo(got.data());
   for (size_t i = 0; i < kPageSize; ++i) {
-    ASSERT_EQ(a.data()[i], 0);
+    ASSERT_EQ(got[i], 0);
   }
 }
 

@@ -58,9 +58,14 @@ TEST(ASignalStateTest, FaultFreeSessionLeavesSignalStateUntouched) {
 #ifdef __SANITIZE_THREAD__
   GTEST_SKIP() << "TSan interposes signal dispositions";
 #endif
-  bool thread_has_altstack = true;
+  bool altstack_unchanged = false;
   uint64_t solutions = 0;
-  std::thread driver([&thread_has_altstack, &solutions] {
+  std::thread driver([&altstack_unchanged, &solutions] {
+    // Compare against the thread's own starting state rather than assuming
+    // "no altstack": sanitizer runtimes give every thread one before any
+    // session exists (plain builds start at SS_DISABLE).
+    stack_t before{};
+    ASSERT_EQ(sigaltstack(nullptr, &before), 0);
     int n = 6;
     SessionOptions options;
     options.arena_bytes = 1ull << 20;
@@ -94,12 +99,13 @@ TEST(ASignalStateTest, FaultFreeSessionLeavesSignalStateUntouched) {
     };
     ASSERT_TRUE(session.Run(guest, &n).ok());
     solutions = session.stats().solutions;
-    stack_t ss{};
-    thread_has_altstack = !(sigaltstack(nullptr, &ss) == 0 && (ss.ss_flags & SS_DISABLE) != 0);
+    stack_t after{};
+    altstack_unchanged = sigaltstack(nullptr, &after) == 0 && after.ss_flags == before.ss_flags &&
+                         after.ss_sp == before.ss_sp && after.ss_size == before.ss_size;
   });
   driver.join();
   EXPECT_EQ(solutions, 4u);  // 6-queens
-  EXPECT_FALSE(thread_has_altstack) << "fault-free session installed a sigaltstack";
+  EXPECT_TRUE(altstack_unchanged) << "fault-free session changed the thread's sigaltstack";
 
   struct sigaction sa{};
   ASSERT_EQ(sigaction(SIGSEGV, nullptr, &sa), 0);

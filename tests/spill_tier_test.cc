@@ -4,9 +4,10 @@
 //   * crash model — a truncated or corrupt leftover segment makes Open fail
 //     with a clean IoError (file left as evidence, no UB); a valid stale
 //     segment is reclaimed silently;
-//   * rung ordering — ByteBudgetPolicy meets a budget reachable by compression
-//     alone without touching disk, and only reaches for the spill rung when
-//     compression is exhausted;
+//   * rung ordering — PageStore::ShrinkTo meets a budget reachable by
+//     compression alone without touching disk, and only reaches for the spill
+//     rung when compression is exhausted; inline and background_compaction
+//     stores end in the same state;
 //   * round-trip parity — spilled blobs fault back bit-identical through every
 //     guarded accessor, dedup identity (same bytes → same blob pointer) holds
 //     across the RAM/disk boundary, and a store with spill disabled keeps all
@@ -35,7 +36,6 @@
 
 #include "src/core/backtrack.h"
 #include "src/core/guest_api.h"
-#include "src/snapshot/budget_policy.h"
 #include "src/snapshot/soft_dirty.h"
 #include "src/snapshot/spill_tier.h"
 
@@ -432,24 +432,65 @@ TEST(SpillStoreTest, BudgetLadderSpillsOnlyAfterCompressionIsExhausted) {
   }
   const uint64_t raw_live = store.stats().bytes_live();
 
-  ByteBudgetPolicy policy;
-  auto no_evict = []() { return false; };
-
   // A budget compression alone can meet: the spill rung must not run.
-  policy.Enforce(store, raw_live / 2, no_evict);
+  store.ShrinkTo(raw_live / 2);
   PageStore::Stats stats = store.stats();
   EXPECT_LE(stats.bytes_live(), raw_live / 2);
   EXPECT_GT(stats.compressions, 0u);
   EXPECT_EQ(stats.spills, 0u) << "spill rung ran while compression could still pay";
 
   // A budget below what compression can reach: now the ladder reaches disk.
-  policy.Enforce(store, raw_live / 64, no_evict);
+  store.ShrinkTo(raw_live / 64);
   stats = store.stats();
   EXPECT_GT(stats.spills, 0u);
   EXPECT_GT(stats.spilled_blobs, 0u);
   EXPECT_LT(stats.bytes_live(), raw_live / 2);
 
   store.ReleaseBatch(refs);
+}
+
+// ShrinkTo is one routine whether it runs inline or on the compactor thread:
+// the same single-threaded population squeezed to the same target ends in the
+// same state either way.
+TEST(SpillStoreTest, ShrinkToInlineAndBackgroundEndAlike) {
+  struct End {
+    uint64_t live_bytes = 0;
+    uint64_t compressed_blobs = 0;
+    uint64_t spilled_blobs = 0;
+  };
+  auto run = [](bool background, const std::string& dir) {
+    PageStoreOptions options;
+    options.spill_dir = dir;
+    options.background_compaction = background;
+    PageStore store(options);
+    EXPECT_TRUE(store.spill_enabled()) << store.spill_status().ToString();
+    EXPECT_EQ(store.background_compaction(), background);
+    // Half compressible, half noise: the target is out of compression's
+    // reach, so the ladder runs both the compress and the spill rung.
+    uint8_t buf[kPageSize];
+    std::vector<PageRef> refs;
+    for (uint32_t i = 0; i < 96; ++i) {
+      if (i % 2 == 0) {
+        FillPage(buf, 21, i);
+      } else {
+        FillNoisePage(buf, 21, i);
+      }
+      refs.push_back(store.Publish(buf));
+    }
+    store.ShrinkTo(store.stats().bytes_live() / 8);
+    store.WaitForCompaction();
+    const PageStore::Stats stats = store.stats();
+    End end{stats.live_bytes, stats.compressed_blobs, stats.spilled_blobs};
+    store.ReleaseBatch(refs);
+    return end;
+  };
+  ScopedSpillDir tmp;
+  const End inline_end = run(false, tmp.Sub("inline"));
+  const End background_end = run(true, tmp.Sub("background"));
+  EXPECT_GT(inline_end.spilled_blobs, 0u);
+  EXPECT_EQ(inline_end.live_bytes, background_end.live_bytes);
+  EXPECT_EQ(inline_end.compressed_blobs, background_end.compressed_blobs);
+  EXPECT_EQ(inline_end.spilled_blobs, background_end.spilled_blobs);
 }
 
 // Four threads against one spill-enabled store: readers fault blobs back while
@@ -638,7 +679,7 @@ void RunE15(SnapshotMode mode, const std::string& spill_dir, uint64_t budget, E1
     // *after* the last park's enforcement. A long-running service parks and
     // idles at this point, and its host's ladder runs once more; mirror that
     // before measuring steady-state residency.
-    ByteBudgetPolicy().Enforce(*store, budget, []() { return false; });
+    store->ShrinkTo(budget);
   }
   PageStore::Stats stats = store->stats();
   out->live_after_park = stats.bytes_live();

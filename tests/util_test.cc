@@ -1,4 +1,4 @@
-// Unit and property tests for src/util: Status/Result, Rng, stats, AllocHooks,
+// Unit and property tests for src/util: Status/Result, Rng, AllocHooks,
 // Vec, and the persistent radix map (the snapshot page-map substrate).
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include "src/util/alloc_hooks.h"
 #include "src/util/radix_map.h"
 #include "src/util/rng.h"
-#include "src/util/stats.h"
 #include "src/util/status.h"
 #include "src/util/vec.h"
 
@@ -118,48 +117,6 @@ TEST(RngTest, ShufflePreservesElements) {
   rng.Shuffle(v);
   std::multiset<int> a(v.begin(), v.end()), b(orig.begin(), orig.end());
   EXPECT_EQ(a, b);
-}
-
-// --- Stats ----------------------------------------------------------------------
-
-TEST(RunningStatTest, MomentsMatchClosedForm) {
-  RunningStat s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.Add(x);
-  }
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 1e-3);  // sample stddev
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStatTest, EmptyIsZero) {
-  RunningStat s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
-}
-
-TEST(Log2HistogramTest, BucketEdges) {
-  EXPECT_EQ(Log2Histogram::BucketFor(0), 0);
-  EXPECT_EQ(Log2Histogram::BucketFor(1), 0);
-  EXPECT_EQ(Log2Histogram::BucketFor(2), 1);
-  EXPECT_EQ(Log2Histogram::BucketFor(3), 1);
-  EXPECT_EQ(Log2Histogram::BucketFor(4), 2);
-  EXPECT_EQ(Log2Histogram::BucketFor(1024), 10);
-}
-
-TEST(Log2HistogramTest, QuantileIsMonotonic) {
-  Log2Histogram h;
-  Rng rng(3);
-  for (int i = 0; i < 10000; ++i) {
-    h.Add(rng.Below(100000));
-  }
-  EXPECT_LE(h.Quantile(0.5), h.Quantile(0.9));
-  EXPECT_LE(h.Quantile(0.9), h.Quantile(0.99));
-  EXPECT_EQ(h.total(), 10000u);
 }
 
 // --- AllocHooks / Vec -----------------------------------------------------------
