@@ -8,8 +8,8 @@
 //
 //   * Move-only ownership: exactly one handle owns each reference. Destroying
 //     the handle releases the reference; when the last reference dies the
-//     owning session reclaims the snapshot (its pages return to the store once
-//     no descendant needs them).
+//     owning session reclaims the snapshot. Descendants pin the pages they
+//     share with it through their own page maps; the rest return to the store.
 //   * Clone() for branching: divergent extensions of one parent each hold
 //     their own reference; the parent's snapshot lives until the last clone
 //     releases.
@@ -22,8 +22,8 @@
 // ledger is internally synchronized and destruction only *queues* the release.
 // The owning session, which stays thread-affine, reclaims queued snapshots at
 // its next drive boundary (Run/Resume/TakeNewCheckpoints/ReleaseCheckpoint) or
-// at destruction — each reclaim walks only the radix spine the snapshot
-// uniquely owns and returns the dying page refs to the store in one
+// at destruction — the dying snapshot's page map walks only the radix spine
+// it uniquely owns and returns those page refs to the store in one
 // shard-batched PageStore::ReleaseBatch. A handle that outlives its session is
 // inert: the session detaches the ledger on destruction and late drops become
 // no-ops.

@@ -9,9 +9,11 @@
 //     interposed filesystem's persistent root).
 //
 // Lifetime is reference-counted: a snapshot lives while any unevaluated extension,
-// child snapshot, registered checkpoint, or the session's current-state pointer
-// references it. Dropping the last reference returns its private pages to the
-// pool — "rapid creation (and destruction) of snapshot trees" (§1).
+// registered checkpoint, or the session's current-state pointer references it.
+// Descendants hold no link to it: their maps already share every page they
+// need through the radix spine. Dropping the last reference returns the pages
+// only this snapshot's map held to the store — "rapid creation (and
+// destruction) of snapshot trees" (§1).
 
 #ifndef LWSNAP_SRC_CORE_SEARCH_GRAPH_H_
 #define LWSNAP_SRC_CORE_SEARCH_GRAPH_H_
@@ -36,7 +38,6 @@ struct Snapshot {
   uint64_t id = 0;
   uint32_t depth = 0;
   SnapshotKind kind = SnapshotKind::kGuess;
-  std::shared_ptr<Snapshot> parent;
 
   // Saved registers at the guess point. Written in place by swapcontext (never
   // copied: uc_mcontext.fpregs points into this very struct on x86-64 glibc, so

@@ -26,13 +26,10 @@ std::string SessionStats::ToString() const {
   char buf[1536];
   std::snprintf(buf, sizeof(buf),
                 "guesses=%llu snapshots=%llu restores=%llu exts=%llu fail=%llu done=%llu "
-                "sol=%llu pages_mat=%llu pages_rst=%llu zero_dedup=%llu content_dedup=%llu "
-                "xsession_dedup=%llu cold_blobs=%llu incr_scan=%llu incr_copy=%llu "
+                "sol=%llu pages_mat=%llu pages_rst=%llu incr_scan=%llu incr_copy=%llu "
                 "dirty_src=%s mat_by=%llu/%llu/%llu/%llu pagemap_reads=%llu sd_clears=%llu "
                 "adaptive_switches=%llu rst_mprotect=%llu rst_runs=%llu rst_skip=%llu "
-                "rel_batches=%llu rel_blobs=%llu rel_locks=%llu "
-                "spilled=%llu spill_bytes=%llu faultbacks=%llu spill_compactions=%llu "
-                "snap_us=%.1f restore_us=%.1f",
+                "rel_batches=%llu rel_blobs=%llu rel_locks=%llu snap_us=%.1f restore_us=%.1f",
                 static_cast<unsigned long long>(guesses),
                 static_cast<unsigned long long>(snapshots),
                 static_cast<unsigned long long>(restores),
@@ -42,10 +39,6 @@ std::string SessionStats::ToString() const {
                 static_cast<unsigned long long>(solutions),
                 static_cast<unsigned long long>(pages_materialized),
                 static_cast<unsigned long long>(pages_restored),
-                static_cast<unsigned long long>(zero_dedup_hits),
-                static_cast<unsigned long long>(content_dedup_hits),
-                static_cast<unsigned long long>(cross_session_dedup_hits),
-                static_cast<unsigned long long>(compressed_blobs),
                 static_cast<unsigned long long>(incr_pages_scanned),
                 static_cast<unsigned long long>(incr_pages_copied),
                 DirtySourceName(dirty_source),  // faults/scan/pagemap/full order below
@@ -62,10 +55,6 @@ std::string SessionStats::ToString() const {
                 static_cast<unsigned long long>(release_batches),
                 static_cast<unsigned long long>(blobs_recycled_batched),
                 static_cast<unsigned long long>(release_shard_locks),
-                static_cast<unsigned long long>(spilled_blobs),
-                static_cast<unsigned long long>(spill_bytes),
-                static_cast<unsigned long long>(faultbacks),
-                static_cast<unsigned long long>(spill_segments_compacted),
                 static_cast<double>(snapshot_ns) / 1e3, static_cast<double>(restore_ns) / 1e3);
   return buf;
 }
@@ -101,29 +90,18 @@ BacktrackSession::BacktrackSession(SessionOptions options)
 
 BacktrackSession::~BacktrackSession() {
   // Outstanding handles become inert: their future drops must not touch the
-  // pending-reclaim queue of a dead session.
+  // pending-reclaim queue of a dead session. Every snapshot, frontier entry
+  // and the engine's current map then die with their members, each page map
+  // returning its pages to store_, which is declared first and dies last.
   ledger_->Detach();
-  // Release every page reference before the store is destroyed (members
-  // declared after store_ destruct first, but strategy frontiers and
-  // checkpoints also hold snapshot refs — drop them deterministically, each
-  // through the O(spine) batch path). A shared store survives this session;
-  // only its refs are returned. An external strategy's frontier lives in the
-  // host-owned scheduler, not here — Pop would re-enter host code, so its
-  // refs drop with the scheduler instead.
-  if (strategy_ != nullptr && strategy_->kind() != StrategyKind::kExternal) {
-    while (std::optional<Extension> ext = strategy_->Pop()) {
-      ReclaimSnapshot(std::move(ext->snapshot));
-    }
-  }
-  strategy_.reset();
-  for (auto& [token, snap] : checkpoints_) {
-    ReclaimSnapshot(std::move(snap));
-  }
-  checkpoints_.clear();
-  ReclaimSnapshot(std::move(pending_snapshot_));
-  ReclaimSnapshot(std::move(scope_snapshot_));
-  ReclaimSnapshot(std::move(cur_snapshot_));
-  engine_.reset();  // drops the current map's refs (also batched)
+}
+
+const SessionStats& BacktrackSession::stats() const {
+  const PageStore::ReleaseStats release = store_->release_stats();
+  stats_.release_batches = release.release_batches;
+  stats_.blobs_recycled_batched = release.blobs_recycled_batched;
+  stats_.release_shard_locks = release.release_shard_locks;
+  return stats_;
 }
 
 void BacktrackSession::AddAttachment(SessionAttachment* attachment) {
@@ -159,11 +137,7 @@ Status BacktrackSession::Run(GuestFn fn, void* arg) {
   root_ctx_.uc_link = nullptr;
   makecontext(&root_ctx_, &GuestTrampoline, 0);
 
-  return Drive([this] {
-    cur_snapshot_.reset();
-    cur_depth_ = 0;
-    SwapToGuest(&root_ctx_);
-  });
+  return Drive([this] { SwapToGuest(&root_ctx_); });
 }
 
 Status BacktrackSession::Resume(const Checkpoint& checkpoint, const void* msg, size_t len) {
@@ -234,6 +208,8 @@ Status BacktrackSession::Drive(const std::function<void()>& first_transfer) {
     }
     break;
   }
+  cur_snapshot_.reset();
+  cur_depth_ = 0;
   driving_ = false;
   return result;
 }
@@ -340,7 +316,6 @@ SnapshotRef BacktrackSession::NewSnapshotShell(SnapshotKind kind) {
   SnapshotRef snap = std::make_shared<Snapshot>();
   snap->id = next_snapshot_id_++;
   snap->kind = kind;
-  snap->parent = cur_snapshot_;
   snap->depth = cur_depth_;
   return snap;
 }
@@ -350,15 +325,8 @@ void BacktrackSession::EnforceBudget() {
   if (budget == 0) {
     return;
   }
-  while (store_->live_bytes() > budget) {
-    std::optional<Extension> evicted = strategy_->EvictWorst();
-    if (!evicted.has_value()) {
-      break;
-    }
+  while (store_->live_bytes() > budget && strategy_->EvictWorst()) {
     ++stats_.evictions;
-    // Reclaim through the batch path so eviction storms under a tight
-    // budget pay O(shards touched) lock acquisitions, not O(dying blobs).
-    ReclaimSnapshot(std::move(evicted->snapshot));
   }
   store_->ShrinkTo(budget);
 }
@@ -486,44 +454,8 @@ Status BacktrackSession::ValidateHandle(const Checkpoint& checkpoint) const {
 
 void BacktrackSession::DrainReleasedCheckpoints() {
   for (uint64_t token : ledger_->TakePendingReclaims()) {
-    auto it = checkpoints_.find(token);
-    if (it == checkpoints_.end()) {
-      continue;
-    }
-    SnapshotRef snap = std::move(it->second);
-    checkpoints_.erase(it);
-    ReclaimSnapshot(std::move(snap));
+    checkpoints_.erase(token);
   }
-}
-
-void BacktrackSession::ReclaimSnapshot(SnapshotRef snap) {
-  if (snap == nullptr) {
-    return;
-  }
-  // Walk the parent chain iteratively while this was the last reference:
-  // each uniquely-owned map contributes only its owned spine (shared radix
-  // subtrees are dropped with a single refcount decrement, never descended)
-  // and its dying page refs land in the drain. Iteration also keeps deep
-  // checkpoint chains off the call stack — the shared_ptr cascade would
-  // recurse once per ancestor.
-  while (snap != nullptr && snap.use_count() == 1) {
-    snap->map.ReleaseInto(&release_drain_);
-    SnapshotRef parent = std::move(snap->parent);
-    snap.reset();
-    snap = std::move(parent);
-  }
-  snap.reset();
-  if (release_drain_.empty()) {
-    return;
-  }
-  store_->ReleaseBatch(release_drain_);
-  // Release happens after the last SyncStoreStats of the drive; re-mirror the
-  // store-wide release counters so stats()/ToString() see this batch. Three
-  // relaxed loads — not the full Stats copy — since this runs per reclaim.
-  const PageStore::ReleaseStats s = store_->release_stats();
-  stats_.release_batches = s.release_batches;
-  stats_.blobs_recycled_batched = s.blobs_recycled_batched;
-  stats_.release_shard_locks = s.release_shard_locks;
 }
 
 std::vector<Checkpoint> BacktrackSession::TakeNewCheckpoints() {
@@ -575,12 +507,7 @@ Status BacktrackSession::ReleaseCheckpoint(Checkpoint& checkpoint) {
   DrainReleasedCheckpoints();
   LW_RETURN_IF_ERROR(ValidateHandle(checkpoint));
   if (ledger_->ReleaseRef(checkpoint.id())) {
-    auto it = checkpoints_.find(checkpoint.id());
-    if (it != checkpoints_.end()) {
-      SnapshotRef snap = std::move(it->second);
-      checkpoints_.erase(it);
-      ReclaimSnapshot(std::move(snap));
-    }
+    checkpoints_.erase(checkpoint.id());
   }
   // The session consumed this handle's reference; disarm so its destructor
   // does not drop a second one.

@@ -113,7 +113,8 @@ struct SessionOptions {
 };
 
 // Search-side counters; the inherited SnapshotEngineStats block carries the
-// engine-side counters (pages, hot-page prediction, dedup, scan/copy work).
+// engine-side counters (pages, hot-page prediction, scan/copy work). Every
+// other store counter is read from store().stats().
 struct SessionStats : SnapshotEngineStats {
   uint64_t guesses = 0;
   uint64_t snapshots = 0;
@@ -125,6 +126,11 @@ struct SessionStats : SnapshotEngineStats {
   uint64_t checkpoints = 0;
   uint64_t resumes = 0;
   uint64_t evictions = 0;
+  // The store's ReleaseBatch counters (store-wide totals), copied from
+  // PageStore::release_stats() by every stats() call.
+  uint64_t release_batches = 0;
+  uint64_t blobs_recycled_batched = 0;
+  uint64_t release_shard_locks = 0;
 
   std::string ToString() const;
 };
@@ -163,8 +169,8 @@ class BacktrackSession : public GuessExecutor {
   // Explicitly releases one handle's reference, reclaiming the snapshot when
   // it was the last one. The handle becomes empty; releasing an empty, foreign
   // or already-released handle is a clean error. Releasing a parent whose
-  // descendants are still held is safe: shared pages stay pinned by the
-  // descendants' snapshot refs.
+  // descendants are still held is safe: the descendants' page maps pin the
+  // pages they share with it, and only the parent's private pages return.
   Status ReleaseCheckpoint(Checkpoint& checkpoint);
 
   // Reads live guest memory (legal between drives; `guest_ptr` must be in-arena).
@@ -177,7 +183,7 @@ class BacktrackSession : public GuessExecutor {
   uint64_t session_uid() const { return session_uid_; }
   const PageStore& store() const { return *store_; }
   const SnapshotEngine& engine() const { return *engine_; }
-  const SessionStats& stats() const { return stats_; }
+  const SessionStats& stats() const;
   size_t frontier_size() const { return strategy_ != nullptr ? strategy_->Size() : 0; }
 
   // Subsystem hookup; must happen before Run.
@@ -210,11 +216,6 @@ class BacktrackSession : public GuessExecutor {
   // were dropped on other threads.
   Status ValidateHandle(const Checkpoint& checkpoint) const;
   void DrainReleasedCheckpoints();
-  // Releases a snapshot (and any parents it uniquely owns) through the O(spine)
-  // path: each uniquely-held map drains its page refs into release_drain_ and
-  // one PageStore::ReleaseBatch recycles them shard-by-shard — one shard-lock
-  // acquisition per shard touched instead of one per dying blob.
-  void ReclaimSnapshot(SnapshotRef snap);
   void HandleGuestEvent();
   // Runs the budget ladder against options_.snapshot_byte_budget (no-op when
   // 0): evicts the worst frontier entries while the store is over budget
@@ -235,8 +236,9 @@ class BacktrackSession : public GuessExecutor {
   SessionOptions options_;
   GuestArena arena_;
   // Declared before engine_ and all SnapshotRef members so the store outlives
-  // every ref this session minted; a shared store additionally outlives the
-  // last session holding it (shared_ptr).
+  // every ref this session minted: members die in reverse order, and each
+  // dying page map returns its pages to the store (see page_map.h). A shared
+  // store additionally outlives the last session holding it (shared_ptr).
   std::shared_ptr<PageStore> store_;
   uint32_t store_owner_ = 0;  // this session's PageStore owner id
   std::unique_ptr<SnapshotEngine> engine_;  // holds the current map's page refs
@@ -259,7 +261,9 @@ class BacktrackSession : public GuessExecutor {
   bool started_ = false;
   bool driving_ = false;
 
-  SnapshotRef cur_snapshot_;  // the partial candidate the current execution extends
+  // The partial candidate the current execution extends; cleared when the
+  // drive ends so a released checkpoint is not pinned until the next drive.
+  SnapshotRef cur_snapshot_;
   uint32_t cur_depth_ = 0;
 
   bool scope_active_ = false;
@@ -285,10 +289,7 @@ class BacktrackSession : public GuessExecutor {
   std::vector<uint64_t> new_checkpoints_;
 
   std::string out_buffer_;  // buffered-output mode
-  // Scratch drain for ReclaimSnapshot; kept as a member so release storms
-  // reuse one allocation instead of growing a fresh vector per release.
-  std::vector<PageRef> release_drain_;
-  SessionStats stats_;
+  mutable SessionStats stats_;  // mutable: stats() refreshes the release counters
 };
 
 }  // namespace lw

@@ -100,9 +100,9 @@ class AstarStrategy : public Strategy {
 
   size_t Size() const override { return heap_.size(); }
 
-  std::optional<Extension> EvictWorst() override {
+  bool EvictWorst() override {
     if (heap_.size() <= 1) {
-      return std::nullopt;  // never evict the last hope
+      return false;  // never evict the last hope
     }
     // Linear scan for the worst (max f, then newest): eviction is rare relative to
     // push/pop, so O(n) here beats maintaining a second heap.
@@ -113,10 +113,9 @@ class AstarStrategy : public Strategy {
       }
     }
     ++evictions_;
-    Extension evicted = std::move(heap_[worst]);
     heap_.erase(heap_.begin() + static_cast<ptrdiff_t>(worst));
     std::make_heap(heap_.begin(), heap_.end(), MinFirst);
-    return evicted;
+    return true;
   }
 
   StrategyKind kind() const override {

@@ -29,10 +29,9 @@ class Strategy {
   virtual size_t Size() const = 0;
   bool Empty() const { return Size() == 0; }
 
-  // Removes and returns the least promising frontier entry (bounded-memory
-  // strategies) so the caller can reclaim its snapshot through the batched
-  // release path; nullopt if nothing can be evicted. Default: not supported.
-  virtual std::optional<Extension> EvictWorst() { return std::nullopt; }
+  // Drops the least promising frontier entry (bounded-memory strategies);
+  // false if nothing can be evicted. Default: not supported.
+  virtual bool EvictWorst() { return false; }
 
   virtual StrategyKind kind() const = 0;
 };

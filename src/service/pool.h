@@ -56,17 +56,10 @@
 
 namespace lw {
 
-// Store-wide + summed per-service counters for the whole fleet.
+// Per-service counters summed over the whole fleet. The shared store's own
+// counters are read from store()->stats().
 struct ServiceFleetStats {
   uint64_t jobs_executed = 0;
-  // Store-wide counters (the whole fleet's substrate).
-  uint64_t resident_bytes = 0;
-  uint64_t live_bytes = 0;
-  uint64_t zero_dedup_hits = 0;
-  uint64_t content_dedup_hits = 0;
-  uint64_t cross_session_dedup_hits = 0;
-  uint64_t compressed_blobs = 0;
-  // Summed across services.
   uint64_t snapshots = 0;
   uint64_t restores = 0;
   uint64_t checkpoints = 0;
@@ -144,7 +137,7 @@ class ServicePool {
   // Runs `fn(service)` on worker `service`'s thread; the result comes back
   // through the future. `fn` must be invocable as R(S&) with R != void and
   // move-constructible R (Result<Outcome>, Status, ...). Release jobs
-  // (`s.Release(token)`) reclaim through each session's O(spine) batch path,
+  // (`s.Release(token)`) reclaim through the page maps' O(spine) batch path,
   // so a fleet draining checkpoints takes the shared store's shard locks
   // per-shard per batch rather than once per dying blob.
   template <typename Fn>
@@ -170,13 +163,6 @@ class ServicePool {
   // Safe to call any time; per-service counters are sampled between jobs.
   ServiceFleetStats fleet_stats() const {
     ServiceFleetStats fleet;
-    const PageStore::Stats store = store_->stats();
-    fleet.resident_bytes = store.bytes_resident();
-    fleet.live_bytes = store.bytes_live();
-    fleet.zero_dedup_hits = store.zero_dedup_hits;
-    fleet.content_dedup_hits = store.content_dedup_hits;
-    fleet.cross_session_dedup_hits = store.cross_session_dedup_hits;
-    fleet.compressed_blobs = store.compressed_blobs;
     for (const auto& worker : workers_) {
       std::lock_guard<std::mutex> lock(worker->stats_mu);
       fleet.jobs_executed += worker->jobs_executed;

@@ -134,11 +134,7 @@ SnapshotEngine::SnapshotEngine(SnapshotMode mode, const Env& env)
   Arm(InitialSource(mode_));
 }
 
-SnapshotEngine::~SnapshotEngine() {
-  std::vector<PageRef> drain;
-  cur_map_.ReleaseInto(&drain);
-  env_.store->ReleaseBatch(drain);
-}
+SnapshotEngine::~SnapshotEngine() = default;
 
 void SnapshotEngine::Arm(DirtySource source) {
   GuestArena& arena = *env_.arena;
@@ -211,7 +207,6 @@ void SnapshotEngine::Materialize(Snapshot& snap) {
     SelectSource(changed);
   }
   snap.map = cur_map_;  // live memory now matches cur_map_ byte-for-byte; O(1) share
-  SyncStoreStats();
 }
 
 uint64_t SnapshotEngine::PublishPages(const uint32_t* pages, size_t count) {
@@ -555,21 +550,6 @@ size_t SnapshotEngine::StructureBytes() const {
     bytes += ((tracker_->num_pages() + 63) / 64) * sizeof(uint64_t);
   }
   return bytes;
-}
-
-void SnapshotEngine::SyncStoreStats() {
-  const PageStore::Stats store = env_.store->stats();
-  env_.stats->zero_dedup_hits = store.zero_dedup_hits;
-  env_.stats->content_dedup_hits = store.content_dedup_hits;
-  env_.stats->cross_session_dedup_hits = store.cross_session_dedup_hits;
-  env_.stats->compressed_blobs = store.compressed_blobs;
-  env_.stats->release_batches = store.release_batches;
-  env_.stats->blobs_recycled_batched = store.blobs_recycled_batched;
-  env_.stats->release_shard_locks = store.release_shard_locks;
-  env_.stats->spilled_blobs = store.spilled_blobs;
-  env_.stats->spill_bytes = store.spill_bytes;
-  env_.stats->faultbacks = store.faultbacks;
-  env_.stats->spill_segments_compacted = store.spill_segments_compacted;
 }
 
 void SnapshotEngine::SyncTrackerStats() {

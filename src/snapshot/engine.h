@@ -83,20 +83,16 @@ enum class DirtySource : uint8_t {
 
 const char* DirtySourceName(DirtySource source);
 
-// Counters owned by the snapshot substrate. SessionStats inherits these so the
-// session's stats block reports engine behaviour alongside search behaviour.
+// Counters owned by the engine. SessionStats inherits these so the session's
+// stats block reports engine behaviour alongside search behaviour; the store's
+// own counters (dedup, compression, spill, release) are read from
+// PageStore::stats().
 struct SnapshotEngineStats {
   uint64_t pages_materialized = 0;
   uint64_t pages_restored = 0;
   uint64_t hot_promotions = 0;
   uint64_t hot_demotions = 0;
   uint64_t hot_unchanged_skips = 0;  // hot pages found byte-identical at snapshot
-  // Store-side counters mirrored at the end of each Materialize. With a shared
-  // store these are store-wide totals (all sessions), not per-session deltas.
-  uint64_t zero_dedup_hits = 0;           // publishes collapsed to the canonical zero blob
-  uint64_t content_dedup_hits = 0;        // publishes collapsed to an existing nonzero blob
-  uint64_t cross_session_dedup_hits = 0;  // ...first published by a different session
-  uint64_t compressed_blobs = 0;          // blobs currently in the cold-compressed tier
   uint64_t incr_pages_scanned = 0;  // scan source: pages memcmp'd
   uint64_t incr_pages_copied = 0;   // scan source: pages actually copied
   // Dirty-set provenance: how the latest Materialize found its delta, plus
@@ -123,21 +119,6 @@ struct SnapshotEngineStats {
   // compare loops (scan restores) are not counted here; incr_pages_scanned
   // covers those.
   uint64_t pages_restore_skipped = 0;
-  // Release-side provenance (store-wide totals, like the dedup counters):
-  // shard-batched reclamation through PageStore::ReleaseBatch — batches
-  // issued, blobs recycled under batched shard holds, and the shard-lock
-  // acquisitions those holds cost (≤ shards touched per batch, vs one lock
-  // per dying blob on the per-ref path).
-  uint64_t release_batches = 0;
-  uint64_t blobs_recycled_batched = 0;
-  uint64_t release_shard_locks = 0;
-  // Spill-tier provenance (store-wide totals): blobs whose payload currently
-  // lives on disk, their payload bytes, disk → RAM fault-backs, and spill
-  // segment files reclaimed by compaction.
-  uint64_t spilled_blobs = 0;
-  uint64_t spill_bytes = 0;
-  uint64_t faultbacks = 0;
-  uint64_t spill_segments_compacted = 0;
   uint64_t snapshot_ns = 0;
   uint64_t restore_ns = 0;
 };
@@ -161,9 +142,6 @@ class SnapshotEngine {
   // state, an all-zero current map). Construct before any guest code runs in
   // the arena. kSoftDirty requires SoftDirtyTracker::Supported().
   SnapshotEngine(SnapshotMode mode, const Env& env);
-  // Teardown drains the current map through PageStore::ReleaseBatch: spine
-  // nodes shared with still-live snapshots are dropped by refcount, and the
-  // uniquely-owned refs reclaim under batched shard holds.
   ~SnapshotEngine();
 
   SnapshotEngine(const SnapshotEngine&) = delete;
@@ -231,9 +209,7 @@ class SnapshotEngine {
   // Publishes one page and maps the blob; returns false (and leaves cur_map_
   // untouched) when the page published back to the blob already mapped.
   bool PublishPage(uint32_t page);
-  // Mirrors store-level dedup/compression/release/spill accounting and the
-  // soft-dirty tracker's counters into the shared stats block.
-  void SyncStoreStats();
+  // Mirrors the soft-dirty tracker's counters into the shared stats block.
   void SyncTrackerStats();
 
   const SnapshotMode mode_;

@@ -9,6 +9,13 @@
 // (src/util/radix_map.h): every copy of a map is driven by one thread at a
 // time, which session-owned snapshot maps satisfy.
 //
+// Release: a map returns its own pages. Destroying a map, or assigning over
+// it, drains the spine it uniquely owns (ReleaseInto) into one
+// PageStore::ReleaseBatch on the store that minted the refs; subtrees still
+// shared with other maps cost one refcount decrement each. So every snapshot
+// death — handle release, eviction, backtracking, teardown — takes the
+// shard-batched path without the caller doing anything.
+//
 // Identity: two map entries are equal iff they reference the same blob. Blobs are
 // immutable, so pointer equality implies content equality (the converse need not
 // hold, which only costs an occasional redundant page copy on restore).
@@ -30,11 +37,15 @@ class PageMap {
  public:
   explicit PageMap(uint32_t num_pages = 0) : radix_(num_pages) {}
 
-  // Copying *is* sharing: O(1), the root is shared.
+  // Copying *is* sharing: O(1), the root is shared. Assignment takes its
+  // source by value, so the image it replaces dies in `other`'s destructor.
   PageMap(const PageMap&) = default;
-  PageMap& operator=(const PageMap&) = default;
   PageMap(PageMap&&) = default;
-  PageMap& operator=(PageMap&&) = default;
+  PageMap& operator=(PageMap other) noexcept {
+    std::swap(radix_, other.radix_);
+    return *this;
+  }
+  ~PageMap() { ReleaseOwned(); }
 
   uint32_t num_pages() const { return radix_.capacity(); }
 
@@ -47,12 +58,11 @@ class PageMap {
   // without an atomic bump/drop pair per page.
   void Set(uint32_t page, PageRef ref) { radix_.Set(page, std::move(ref)); }
 
-  // Explicit release: moves every ref this map uniquely owns into `*drain`
-  // and empties the map, for batch-grained reclamation via
-  // PageStore::ReleaseBatch. Walks only the owned spine — subtrees shared
-  // with sibling snapshots are dropped with one refcount decrement and never
-  // descended (returns the radix nodes visited, so callers can assert the
-  // O(delta · height) bound).
+  // Moves every ref this map uniquely owns into `*drain` and empties the map
+  // (the first half of what the destructor does). Walks only the owned spine
+  // — subtrees shared with sibling snapshots are dropped with one refcount
+  // decrement and never descended (returns the radix nodes visited, so
+  // callers can assert the O(delta · height) bound).
   size_t ReleaseInto(std::vector<PageRef>* drain) { return radix_.ReleaseInto(drain); }
 
   // Invokes fn(page, mine, theirs) for every page where the two maps reference
@@ -76,6 +86,28 @@ class PageMap {
  private:
   static constexpr size_t kFanoutNodeBytes =
       PersistentRadixMap<PageRef>::kFanout * (sizeof(void*) * 2 + sizeof(PageRef));
+
+  // Drains the owned spine into one ReleaseBatch through a per-thread scratch
+  // vector, so a map death allocates nothing once the vector has grown. A
+  // map that dies after this thread's thread_locals were destroyed (one held
+  // by a static object) drains through a local vector instead.
+  void ReleaseOwned() {
+    if (!radix_.OwnsRoot()) {
+      return;  // empty, or the root is shared: radix_'s destructor drops one ref
+    }
+    static thread_local bool gone = false;
+    struct Scratch {
+      std::vector<PageRef> refs;
+      ~Scratch() { gone = true; }
+    };
+    static thread_local Scratch scratch;
+    std::vector<PageRef> local;
+    std::vector<PageRef>& drain = gone ? local : scratch.refs;
+    radix_.ReleaseInto(&drain);
+    if (!drain.empty()) {
+      drain.front().store()->ReleaseBatch(drain);
+    }
+  }
 
   PersistentRadixMap<PageRef> radix_;
 };

@@ -193,6 +193,8 @@ class PageRef {
   // Owning shard of this ref's blob (stable for the blob's lifetime). Lets
   // tests assert ReleaseBatch's exact shard-lock count for a known ref set.
   uint32_t shard() const { return blob_ != nullptr ? blob_->shard : 0; }
+  // The store that minted this ref (null for an invalid ref).
+  PageStore* store() const { return blob_ != nullptr ? blob_->store : nullptr; }
   bool compressed() const {
     return blob_ != nullptr && blob_->comp_bytes.load(std::memory_order_acquire) != 0;
   }
@@ -346,7 +348,7 @@ class PageStore {
   Stats stats() const;
 
   // Just the three ReleaseBatch counters — three relaxed loads instead of the
-  // full Stats copy, cheap enough to mirror on every session reclaim.
+  // full Stats copy, cheap enough for every BacktrackSession::stats() call.
   struct ReleaseStats {
     uint64_t release_batches = 0;
     uint64_t blobs_recycled_batched = 0;

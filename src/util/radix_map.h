@@ -37,6 +37,8 @@ class PersistentRadixMap {
  public:
   static constexpr uint32_t kFanout = 16;
   static constexpr uint32_t kBitsPerLevel = 4;
+  // Levels needed to cover every uint32 key.
+  static constexpr int kMaxHeight = 32 / kBitsPerLevel;
 
   // A map covering keys [0, capacity). All maps that interoperate (Diff/assignment)
   // must share the same capacity.
@@ -73,16 +75,17 @@ class PersistentRadixMap {
   // dropped with a single child refcount decrement and never descended.
   // Afterwards the map is empty (every Peek returns T()). Returns the number
   // of nodes actually visited (torn down), so callers can assert the
-  // O(delta · height) bound. Iterative — no recursion, so arbitrarily deep
-  // ownership chains cannot overflow the stack.
+  // O(delta · height) bound. Iterative over a fixed frame stack (one frame per
+  // interior level): no recursion and no allocation beyond `*drain`'s growth.
   size_t ReleaseInto(std::vector<T>* drain) {
     size_t visited = 0;
     struct Frame {
       NodePtr node;
-      int level;
+      int level = 0;
       uint32_t slot = 0;
     };
-    std::vector<Frame> stack;
+    Frame stack[kMaxHeight];
+    int depth = 0;
     auto visit = [&](NodePtr&& node, int level) {
       if (node == nullptr) {
         return;
@@ -101,19 +104,19 @@ class PersistentRadixMap {
         node.reset();
         return;
       }
-      stack.push_back(Frame{std::move(node), level});
+      stack[depth++] = Frame{std::move(node), level};
     };
     visit(std::move(root_), height_ - 1);
     root_ = nullptr;
-    while (!stack.empty()) {
-      Frame& frame = stack.back();
+    while (depth > 0) {
+      Frame& frame = stack[depth - 1];
       if (frame.slot == kFanout) {
-        stack.pop_back();
+        frame.node.reset();
+        --depth;
         continue;
       }
       NodePtr child = std::move(frame.node->children[frame.slot]);
       ++frame.slot;
-      // `visit` may push (invalidating `frame`); nothing touches it after this.
       visit(std::move(child), frame.level - 1);
     }
     return visited;
@@ -148,6 +151,10 @@ class PersistentRadixMap {
   }
 
   bool RootEquals(const PersistentRadixMap& other) const { return root_ == other.root_; }
+
+  // True when ReleaseInto would tear down at least the root: the map is
+  // non-empty and no other copy shares its root (see "Thread affinity").
+  bool OwnsRoot() const { return root_ != nullptr && root_.use_count() == 1; }
 
  private:
   struct Node {

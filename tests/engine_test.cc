@@ -140,14 +140,14 @@ GuestArena::Layout GoldenLayout() {
   return layout;
 }
 
-std::string CounterFingerprint(const SnapshotEngineStats& s) {
+std::string CounterFingerprint(const SnapshotEngineStats& s, const PageStore::Stats& store) {
   std::ostringstream out;
   out << "materialized=" << s.pages_materialized << " restored=" << s.pages_restored
       << " hot_promotions=" << s.hot_promotions << " hot_demotions=" << s.hot_demotions
       << " hot_unchanged_skips=" << s.hot_unchanged_skips
-      << " zero_dedup=" << s.zero_dedup_hits << " content_dedup=" << s.content_dedup_hits
-      << " cross_dedup=" << s.cross_session_dedup_hits
-      << " compressed=" << s.compressed_blobs << " scanned=" << s.incr_pages_scanned
+      << " zero_dedup=" << store.zero_dedup_hits << " content_dedup=" << store.content_dedup_hits
+      << " cross_dedup=" << store.cross_session_dedup_hits
+      << " compressed=" << store.compressed_blobs << " scanned=" << s.incr_pages_scanned
       << " copied=" << s.incr_pages_copied << " source=" << DirtySourceName(s.dirty_source)
       << " by_faults=" << s.materializes_by_faults << " by_scan=" << s.materializes_by_scan
       << " by_pagemap=" << s.materializes_by_pagemap << " by_full=" << s.materializes_by_full
@@ -155,11 +155,11 @@ std::string CounterFingerprint(const SnapshotEngineStats& s) {
       << " soft_dirty_clears=" << s.soft_dirty_clears
       << " switches=" << s.adaptive_switches << " mprotect=" << s.restore_mprotect_calls
       << " runs=" << s.restore_runs_coalesced << " skipped=" << s.pages_restore_skipped
-      << " release_batches=" << s.release_batches
-      << " recycled_batched=" << s.blobs_recycled_batched
-      << " release_locks=" << s.release_shard_locks << " spilled=" << s.spilled_blobs
-      << " spill_bytes=" << s.spill_bytes << " faultbacks=" << s.faultbacks
-      << " compacted=" << s.spill_segments_compacted;
+      << " release_batches=" << store.release_batches
+      << " recycled_batched=" << store.blobs_recycled_batched
+      << " release_locks=" << store.release_shard_locks << " spilled=" << store.spilled_blobs
+      << " spill_bytes=" << store.spill_bytes << " faultbacks=" << store.faultbacks
+      << " compacted=" << store.spill_segments_compacted;
   return out.str();
 }
 
@@ -298,6 +298,7 @@ class GoldenScript {
   }
 
   const SnapshotEngineStats& stats() const { return stats_; }
+  const PageStore& store() const { return store_; }
 
  private:
   void Write(uint32_t page, uint32_t offset, uint32_t len, uint8_t value) {
@@ -367,7 +368,7 @@ TEST_P(GoldenScriptTest, RestoresMatchReferenceModelAndCountersMatchGolden) {
   }
   const char* golden = GoldenCounters(GetParam());
   if (golden != nullptr) {
-    EXPECT_EQ(CounterFingerprint(script.stats()), golden);
+    EXPECT_EQ(CounterFingerprint(script.stats(), script.store().stats()), golden);
   }
 }
 
@@ -679,12 +680,11 @@ TEST(IncrementalEngineTest, ZeroedPagesDedupOnRepublish) {
     Snapshot snap2;
     std::memset(arena.PageAddr(2), 0x77, kPageSize);
     engine->Materialize(snap1);
-    uint64_t hits_before = stats.zero_dedup_hits;
+    uint64_t hits_before = store.stats().zero_dedup_hits;
     std::memset(arena.PageAddr(2), 0x00, kPageSize);  // back to all-zero
     engine->Materialize(snap2);
-    // The republished page collapsed to the canonical zero blob and the engine
-    // mirrored the store's dedup accounting into its stats block.
-    EXPECT_EQ(stats.zero_dedup_hits, hits_before + 1);
+    // The republished page collapsed to the canonical zero blob.
+    EXPECT_EQ(store.stats().zero_dedup_hits, hits_before + 1);
     EXPECT_EQ(snap2.map.Peek(2), store.ZeroPage());
   }
   EXPECT_LE(store.stats().live_blobs, 1u);  // only the store-held zero blob remains

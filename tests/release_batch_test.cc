@@ -8,16 +8,23 @@
 //     shared subtree;
 //   * session-level residency — after a checkpoint release storm the store
 //     holds exactly the distinct blobs the session still references (the
-//     engine's current map and the last resumed snapshot) plus the canonical
-//     zero blob, for every engine;
+//     engine's current map) plus the canonical zero blob, for every engine;
+//   * self-releasing maps — a released ancestor pins nothing its descendants'
+//     maps do not, a deep released chain dies without recursion, and the
+//     deaths of a DFS or SM-A* search (backtracking, frontier eviction) go
+//     through ReleaseBatch;
 //   * concurrency — sessions on different threads batching releases into one
 //     shared store never corrupt it.
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <initializer_list>
 #include <memory>
 #include <set>
 #include <string>
@@ -211,6 +218,26 @@ TEST(ReleaseBatchRadixTest, SharedSubtreesAreNeverDescended) {
 
 BacktrackSession* Session() { return static_cast<BacktrackSession*>(CurrentExecutor()); }
 
+// Distinct blobs referenced by `maps`, plus the store's canonical zero blob:
+// the live_blobs a store must report when those maps are all that is left.
+uint64_t HeldBlobs(PageStore& store, std::initializer_list<const PageMap*> maps) {
+  const PageRef zero = store.ZeroPage();
+  std::vector<const PageRef*> held = {&zero};
+  for (const PageMap* map : maps) {
+    for (uint32_t page = 0; page < map->num_pages(); ++page) {
+      const PageRef& ref = map->Peek(page);
+      bool seen = !ref.valid();
+      for (size_t i = 0; i < held.size() && !seen; ++i) {
+        seen = *held[i] == ref;
+      }
+      if (!seen) {
+        held.push_back(&ref);
+      }
+    }
+  }
+  return held.size();
+}
+
 constexpr uint32_t kStormPages = 24;
 
 struct StormScratch {
@@ -264,13 +291,9 @@ StormRun RunCheckpointStorm(SnapshotMode mode) {
     auto tokens = session.TakeNewCheckpoints();
     EXPECT_EQ(tokens.size(), 1u);
     Checkpoint root = std::move(tokens[0]);
-    // The root checkpoint's page map: the run just captured it from the live
-    // arena. This copy pins only blobs the session pins anyway (see below).
-    const PageMap root_map = session.engine().current_map();
     // Star shape: every sibling forks from the same root, sharing all pages
-    // but its own small dirty delta — so releasing a sibling actually kills
-    // its delta blobs (a linear chain would keep each map pinned through its
-    // child's parent link).
+    // but its own small dirty delta — so releasing a sibling kills its delta
+    // blobs.
     std::vector<Checkpoint> siblings;
     for (int i = 0; i < 16; ++i) {
       // Distinct increments → distinct rounds → every sibling's dirty delta is
@@ -290,24 +313,8 @@ StormRun RunCheckpointStorm(SnapshotMode mode) {
     run.session = session.stats();
     run.store = store->stats();
     // With every checkpoint handle gone, the page refs left are the live
-    // arena's (the engine's current map), the root's (the session keeps the
-    // last resumed snapshot as the parent of its next capture), and the
-    // store's own zero blob.
-    const PageRef zero = store->ZeroPage();
-    std::vector<const PageRef*> held = {&zero};
-    for (const PageMap* map : {&session.engine().current_map(), &root_map}) {
-      for (uint32_t page = 0; page < map->num_pages(); ++page) {
-        const PageRef& ref = map->Peek(page);
-        bool seen = !ref.valid();
-        for (size_t i = 0; i < held.size() && !seen; ++i) {
-          seen = *held[i] == ref;
-        }
-        if (!seen) {
-          held.push_back(&ref);
-        }
-      }
-    }
-    run.held_blobs = held.size();
+    // arena's (the engine's current map) and the store's own zero blob.
+    run.held_blobs = HeldBlobs(*store, {&session.engine().current_map()});
   }
   return run;
 }
@@ -349,7 +356,152 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, ReleaseStormParityTest,
                            return SnapshotModeName(info.param);
                          });
 
-// --- Concurrency: batched releases into one shared store -------------------------
+// --- Self-releasing maps: chains and searches --------------------------------------
+
+SessionOptions FaultFreeOptions(std::shared_ptr<PageStore> store) {
+  SessionOptions options;
+  options.arena_bytes = 1ull << 20;
+  options.guest_stack_bytes = 64 * 1024;
+  // Fault-free engine: safe under TSan and off the main thread.
+  options.snapshot_mode = SnapshotMode::kIncremental;
+  options.store = std::move(store);
+  options.output = [](std::string_view) {};
+  return options;
+}
+
+// Extends a linear chain `length` checkpoints past the root, releasing each
+// parent once its child exists (the extend-then-release-parent shape of a
+// checkpointed client). Returns the root and the leaf.
+std::pair<Checkpoint, Checkpoint> ExtendChain(BacktrackSession* session, int length,
+                                              bool keep_root) {
+  EXPECT_TRUE(session->Run(&StormGuest, nullptr).ok());
+  auto tokens = session->TakeNewCheckpoints();
+  EXPECT_EQ(tokens.size(), 1u);
+  Checkpoint root = std::move(tokens[0]);
+  Checkpoint leaf = root.Clone();
+  for (int i = 0; i < length; ++i) {
+    EXPECT_TRUE(session->Resume(leaf, "1", 2).ok());
+    auto next = session->TakeNewCheckpoints();
+    EXPECT_EQ(next.size(), 1u);
+    EXPECT_TRUE(session->ReleaseCheckpoint(leaf).ok());
+    leaf = std::move(next[0]);
+  }
+  if (!keep_root) {
+    EXPECT_TRUE(session->ReleaseCheckpoint(root).ok());
+  }
+  return {std::move(root), std::move(leaf)};
+}
+
+// A released ancestor keeps only what its descendants' maps still share: with
+// every handle but the leaf released, the store holds the leaf's blobs, the
+// live arena's, and the zero blob — not every ancestor's whole page image.
+TEST(SelfReleasingMapTest, ReleasedLinearChainPinsOnlyTheLeaf) {
+  auto store = std::make_shared<PageStore>();
+  BacktrackSession session(FaultFreeOptions(store));
+  auto [root, leaf] = ExtendChain(&session, 64, /*keep_root=*/false);
+  // The last drive captured the leaf, so the live arena's map is the leaf's.
+  const PageMap leaf_map = session.engine().current_map();
+  EXPECT_EQ(store->stats().live_blobs,
+            HeldBlobs(*store, {&leaf_map, &session.engine().current_map()}));
+}
+
+// Runs `body` on a thread with a `stack_bytes` stack and joins it.
+void RunOnSmallStack(size_t stack_bytes, std::function<void()> body) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, stack_bytes), 0);
+  pthread_t thread;
+  auto trampoline = [](void* arg) -> void* {
+    (*static_cast<std::function<void()>*>(arg))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&thread, &attr, trampoline, &body), 0);
+  pthread_attr_destroy(&attr);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+}
+
+// A snapshot holds no link to its parent, so a long released chain dies one
+// map at a time: tearing it down by resuming the root must not recurse once
+// per ancestor. When snapshots chained to their parents by shared_ptr, that
+// teardown overflowed a 256 KiB stack from about 5500 links on (x86-64,
+// -O2); 16000 leaves a margin for leaner frames.
+TEST(SelfReleasingMapTest, DeepReleasedChainDiesWithoutRecursion) {
+  constexpr int kChain = 16000;
+  RunOnSmallStack(256 * 1024, [] {
+    auto store = std::make_shared<PageStore>();
+    BacktrackSession session(FaultFreeOptions(store));
+    auto [root, leaf] = ExtendChain(&session, kChain, /*keep_root=*/true);
+    EXPECT_TRUE(session.ReleaseCheckpoint(leaf).ok());
+    // An empty message makes the guest return; the live arena then still maps
+    // the root's image, which is all that is left.
+    EXPECT_TRUE(session.Resume(root, nullptr, 0).ok());
+    EXPECT_EQ(store->stats().live_blobs, HeldBlobs(*store, {&session.engine().current_map()}));
+  });
+}
+
+constexpr int kQueens = 8;
+
+// Enumerates every 8-queens placement depth first; each placement dirties one
+// trail page per column, so backtracking past a column kills real blobs.
+void QueensGuest(void*) {
+  struct Board {
+    int row[kQueens];
+    int ld[2 * kQueens];
+    int rd[2 * kQueens];
+  };
+  auto* board = GuestNew<Board>(Session()->heap());
+  std::memset(board, 0, sizeof(Board));
+  auto* trail = static_cast<uint8_t*>(Session()->heap()->Alloc(kQueens * kPageSize));
+  if (sys_guess_strategy(StrategyKind::kDfs)) {
+    for (int c = 0; c < kQueens; ++c) {
+      const int r = sys_guess(kQueens);
+      if (board->row[r] || board->ld[r + c] || board->rd[kQueens + r - c]) {
+        sys_guess_fail();
+      }
+      board->row[r] = board->ld[r + c] = board->rd[kQueens + r - c] = 1;
+      std::memset(trail + static_cast<size_t>(c) * kPageSize, c * kQueens + r + 1, kPageSize);
+    }
+    sys_note_solution();
+    sys_guess_fail();
+  }
+}
+
+// SM-A* over a 3-way tree, four levels deep, with path-unique page writes; a
+// frontier capped at 4 entries evicts inside every overflowing push.
+void SmaStarGuest(void*) {
+  auto* buffer = static_cast<uint8_t*>(Session()->heap()->Alloc(4 * kPageSize));
+  if (sys_guess_strategy(StrategyKind::kSmaStar)) {
+    uint8_t sig = 0;
+    for (int d = 0; d < 4; ++d) {
+      GuessCost costs[3] = {{d * 1.0, 3.0 - d}, {d * 1.0, 2.0}, {d * 1.0, 1.0}};
+      const int pick = sys_guess_weighted(3, costs);
+      sig = static_cast<uint8_t>(sig * 3 + pick + 1);
+      std::memset(buffer + static_cast<size_t>(d) * kPageSize, sig, kPageSize);
+    }
+    sys_guess_fail();
+  }
+}
+
+// Backtracking and frontier eviction drop snapshots by plain assignment or
+// erase; their maps still return their pages through ReleaseBatch, and once
+// the run ends nothing but the live arena's map is left.
+TEST(SelfReleasingMapTest, SearchDeathsReleaseThroughBatches) {
+  for (StrategyKind kind : {StrategyKind::kDfs, StrategyKind::kSmaStar}) {
+    SCOPED_TRACE(kind == StrategyKind::kDfs ? "dfs queens" : "sm-a* max_frontier");
+    auto store = std::make_shared<PageStore>();  // this session's alone
+    SessionOptions options = FaultFreeOptions(store);
+    options.strategy.kind = kind;
+    options.strategy.max_frontier = 4;  // read by SM-A* only
+    BacktrackSession session(options);
+    ASSERT_TRUE(
+        session.Run(kind == StrategyKind::kDfs ? &QueensGuest : &SmaStarGuest, nullptr).ok());
+    if (kind == StrategyKind::kDfs) {
+      EXPECT_EQ(session.stats().solutions, 92u);
+    }
+    EXPECT_GT(store->stats().release_batches, 0u);
+    EXPECT_EQ(store->stats().live_blobs, HeldBlobs(*store, {&session.engine().current_map()}));
+  }
+}
 
 // Sessions on different worker threads run checkpoint storms against one
 // shared store, each draining its releases through ReleaseBatch. The store's
