@@ -328,10 +328,11 @@ void FillNoisePage(uint8_t* buf, uint64_t i) {
   }
 }
 
-// Fault-back latency: `range(0)` spilled pages are read back through the
-// guarded accessor (disk → RAM), then re-spilled — which is free I/O-wise, as
-// each blob's spill record is retained across fault-back, so the loop isolates
-// the read path. ns/faultback is the paper-facing number: what touching a
+// Fault-back latency: `range(0)` spilled pages are read through the guarded
+// accessor, which decodes each record straight into the caller's buffer and
+// leaves the blob on disk, so every iteration reads from disk again and the
+// loop isolates the read path. The between-iteration SpillAllCold spills
+// nothing. ns/faultback is the paper-facing number: what touching a
 // parked-out checkpoint costs per page.
 void BM_SpillFaultback(benchmark::State& state) {
   const uint32_t pages = static_cast<uint32_t>(state.range(0));
@@ -365,7 +366,7 @@ void BM_SpillFaultback(benchmark::State& state) {
       benchmark::DoNotOptimize(buf);
     }
     state.PauseTiming();
-    store.SpillAllCold();  // re-spill (record reuse: accounting only, no I/O)
+    store.SpillAllCold();  // nothing to spill: reads leave blobs on disk
     faultbacks = store.stats().faultbacks;
     state.ResumeTiming();
   }

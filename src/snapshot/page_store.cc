@@ -140,14 +140,12 @@ void PageStore::RecycleLocked(Shard& shard, PageBlob* blob, RecycleTally* tally)
   }
   UnlistLocked(shard, blob);
   tally->live_bytes += sizeof(PageBlob) + PayloadBytes(blob);
-  // A dying spilled blob never faults back: only its disk record and header
-  // go away, the payload bytes are never read again.
+  // A dying spilled blob is never read back: only its disk record and header
+  // go away.
   if (blob->spill_rec != nullptr) {
-    if (blob->spilled.load(std::memory_order_relaxed) != 0) {
-      ++tally->spilled;
-      tally->spill_bytes += blob->spill_rec->len;
-      blob->spilled.store(0, std::memory_order_relaxed);
-    }
+    ++tally->spilled;
+    tally->spill_bytes += blob->spill_rec->len;
+    blob->spilled.store(0, std::memory_order_relaxed);
     spill_->Free(blob->spill_rec);
     blob->spill_rec = nullptr;
   }
@@ -323,11 +321,10 @@ restart:
     if (!acquired) {
       continue;
     }
-    // Hash matched a cold or spilled blob: make it resident to confirm. A
-    // confirmed hit means this content is being republished, so warming it
-    // is the right move.
-    EnsureResidentLocked(cand);
-    if (std::memcmp(cand->payload, src, kPageSize) == 0) {
+    // Confirm the match without changing the blob's tier: a cold candidate
+    // decodes into a stack page and stays where it lies.
+    uint8_t scratch[kPageSize];
+    if (std::memcmp(PageBytesLocked(cand, scratch), src, kPageSize) == 0) {
       return cand;  // reference transferred to the caller
     }
     // Collision: hand the reference back. The true holder may have released
@@ -407,34 +404,64 @@ void PageStore::IndexRemoveLocked(Shard& shard, PageBlob* blob) {
 }
 
 // ---------------------------------------------------------------------------
-// Guarded page access (safe against concurrent compression).
+// Guarded page access (safe against concurrent compression and spilling).
+// Reads never change a blob's tier: a compressed or spilled payload decodes
+// into the caller's buffer or a stack page and stays where it lies.
 // ---------------------------------------------------------------------------
+
+const uint8_t* PageStore::PageBytesLocked(const PageBlob* blob, uint8_t* scratch) {
+  if (blob->spilled.load(std::memory_order_relaxed) != 0) {
+    const SpillRecord* rec = blob->spill_rec;
+    if (rec->comp_bytes != 0) {
+      uint8_t comp[kPageSize];  // compressed payloads are below kPageSize
+      spill_->Read(rec, comp);
+      size_t n = Decompress(comp, rec->comp_bytes, scratch, kPageSize);
+      LW_CHECK_MSG(n == kPageSize, "spilled blob decompressed to the wrong size");
+    } else {
+      spill_->Read(rec, scratch);
+    }
+    counters_.faultbacks.fetch_add(1, std::memory_order_relaxed);
+    return scratch;
+  }
+  uint32_t comp = blob->comp_bytes.load(std::memory_order_relaxed);
+  if (comp == 0) {
+    return blob->payload;
+  }
+  size_t n = Decompress(blob->payload, comp, scratch, kPageSize);
+  LW_CHECK_MSG(n == kPageSize, "cold blob decompressed to the wrong size");
+  counters_.decompressions.fetch_add(1, std::memory_order_relaxed);
+  return scratch;
+}
 
 void PageRef::CopyTo(void* dst) const {
   LW_CHECK(blob_ != nullptr);
   PageStore::Shard& shard = blob_->store->shards_[blob_->shard];
   std::lock_guard<std::mutex> lock(shard.mu);
-  blob_->store->EnsureResidentLocked(blob_);
-  std::memcpy(dst, blob_->payload, kPageSize);
+  uint8_t* out = static_cast<uint8_t*>(dst);
+  const uint8_t* bytes = blob_->store->PageBytesLocked(blob_, out);
+  if (bytes != out) {
+    std::memcpy(out, bytes, kPageSize);
+  }
 }
 
 bool PageRef::EqualsPage(const void* src) const {
   LW_CHECK(blob_ != nullptr);
   PageStore::Shard& shard = blob_->store->shards_[blob_->shard];
   std::lock_guard<std::mutex> lock(shard.mu);
-  blob_->store->EnsureResidentLocked(blob_);
-  return std::memcmp(blob_->payload, src, kPageSize) == 0;
+  uint8_t scratch[kPageSize];
+  return std::memcmp(blob_->store->PageBytesLocked(blob_, scratch), src, kPageSize) == 0;
 }
 
 bool PageRef::CopyToIfDifferent(void* dst) const {
   LW_CHECK(blob_ != nullptr);
   PageStore::Shard& shard = blob_->store->shards_[blob_->shard];
   std::lock_guard<std::mutex> lock(shard.mu);
-  blob_->store->EnsureResidentLocked(blob_);
-  if (std::memcmp(blob_->payload, dst, kPageSize) == 0) {
+  uint8_t scratch[kPageSize];
+  const uint8_t* bytes = blob_->store->PageBytesLocked(blob_, scratch);
+  if (std::memcmp(bytes, dst, kPageSize) == 0) {
     return false;
   }
-  std::memcpy(dst, blob_->payload, kPageSize);
+  std::memcpy(dst, bytes, kPageSize);
   return true;
 }
 
@@ -443,8 +470,8 @@ void PageRef::ReadBytes(size_t offset, void* dst, size_t len) const {
   LW_CHECK(offset + len <= kPageSize);
   PageStore::Shard& shard = blob_->store->shards_[blob_->shard];
   std::lock_guard<std::mutex> lock(shard.mu);
-  blob_->store->EnsureResidentLocked(blob_);
-  std::memcpy(dst, blob_->payload + offset, len);
+  uint8_t scratch[kPageSize];
+  std::memcpy(dst, blob_->store->PageBytesLocked(blob_, scratch) + offset, len);
 }
 
 // ---------------------------------------------------------------------------
@@ -513,8 +540,11 @@ void PageStore::TouchLocked(Shard& shard, PageBlob* blob) {
     shard.spill.PushFront(blob);
     return;
   }
+  // Only raw blobs sit on the raw LRU: a compressed blob without a spill tier
+  // and a spilled blob are on no list and stay off it.
   if ((blob->flags & PageBlob::kPinned) != 0 ||
-      blob->comp_bytes.load(std::memory_order_relaxed) != 0) {
+      blob->comp_bytes.load(std::memory_order_relaxed) != 0 ||
+      blob->spilled.load(std::memory_order_relaxed) != 0) {
     return;
   }
   shard.lru.Remove(blob);
@@ -550,28 +580,6 @@ bool PageStore::CompressBlobLocked(Shard& shard, PageBlob* blob) {
   counters_.compressed_blobs.fetch_add(1, std::memory_order_relaxed);
   counters_.compressions.fetch_add(1, std::memory_order_relaxed);
   return true;
-}
-
-void PageStore::DecompressBlobLocked(PageBlob* blob) {
-  uint32_t comp = blob->comp_bytes.load(std::memory_order_relaxed);
-  LW_CHECK(comp != 0);
-  // Re-inflating means the blob is warm again: off the spill-candidate list,
-  // back onto the raw LRU (below).
-  UnlistLocked(shards_[blob->shard], blob);
-  uint8_t* raw = static_cast<uint8_t*>(std::malloc(kPageSize));
-  LW_CHECK_MSG(raw != nullptr, "host allocation for decompressed payload failed");
-  size_t n = Decompress(blob->payload, comp, raw, kPageSize);
-  LW_CHECK_MSG(n == kPageSize, "cold blob decompressed to the wrong size");
-  uint64_t live =
-      counters_.live_bytes.fetch_add(kPageSize - comp, std::memory_order_relaxed) + kPageSize -
-      comp;
-  BumpPeak(counters_.peak_live_bytes, live);
-  std::free(blob->payload);
-  blob->payload = raw;
-  blob->comp_bytes.store(0, std::memory_order_release);
-  counters_.compressed_blobs.fetch_sub(1, std::memory_order_relaxed);
-  counters_.decompressions.fetch_add(1, std::memory_order_relaxed);
-  LruPushFrontLocked(shards_[blob->shard], blob);  // just touched: warmest again
 }
 
 bool PageStore::CompressOneColdInShard(uint32_t shard_id) {
@@ -617,22 +625,11 @@ uint64_t PageStore::CompressAllCold() {
 bool PageStore::SpillBlobLocked(Shard& shard, PageBlob* blob) {
   uint32_t comp = blob->comp_bytes.load(std::memory_order_relaxed);
   uint32_t len = comp != 0 ? comp : static_cast<uint32_t>(kPageSize);
-  SpillRecord* rec = blob->spill_rec;
-  if (rec != nullptr && (rec->len != len || rec->comp_bytes != comp)) {
-    // Stale record from a previous residency at a different compression state
-    // (possible only through odd flag churn; the codec itself is
-    // deterministic). Re-append below.
-    spill_->Free(rec);
-    rec = nullptr;
-    blob->spill_rec = nullptr;
-  }
+  SpillRecord* rec = spill_->Append(blob->hash, blob->payload, len, comp);
   if (rec == nullptr) {
-    rec = spill_->Append(blob->hash, blob->payload, len, comp);
-    if (rec == nullptr) {
-      return false;  // disk trouble — leave the blob resident
-    }
-    blob->spill_rec = rec;
+    return false;  // disk trouble — leave the blob resident
   }
+  blob->spill_rec = rec;
   // Payload lives on disk now; only the header stays resident.
   UnlistLocked(shard, blob);
   std::free(blob->payload);
@@ -647,48 +644,6 @@ bool PageStore::SpillBlobLocked(Shard& shard, PageBlob* blob) {
   counters_.spill_bytes.fetch_add(len, std::memory_order_relaxed);
   counters_.spills.fetch_add(1, std::memory_order_relaxed);
   return true;
-}
-
-void PageStore::FaultBackBlobLocked(PageBlob* blob) {
-  LW_CHECK(blob->spilled.load(std::memory_order_acquire) != 0);
-  SpillRecord* rec = blob->spill_rec;
-  uint8_t* raw = static_cast<uint8_t*>(std::malloc(kPageSize));
-  LW_CHECK_MSG(raw != nullptr, "host allocation for faulted-back payload failed");
-  if (rec->comp_bytes != 0) {
-    uint8_t tmp[MaxCompressedBytes(kPageSize)];
-    spill_->Read(rec, tmp);
-    size_t n = Decompress(tmp, rec->comp_bytes, raw, kPageSize);
-    LW_CHECK_MSG(n == kPageSize, "spilled blob decompressed to the wrong size");
-  } else {
-    spill_->Read(rec, raw);
-  }
-  blob->payload = raw;
-  blob->spilled.store(0, std::memory_order_release);
-  uint64_t live =
-      counters_.live_bytes.fetch_add(kPageSize, std::memory_order_relaxed) + kPageSize;
-  BumpPeak(counters_.peak_live_bytes, live);
-  counters_.spilled_blobs.fetch_sub(1, std::memory_order_relaxed);
-  counters_.spill_bytes.fetch_sub(rec->len, std::memory_order_relaxed);
-  counters_.faultbacks.fetch_add(1, std::memory_order_relaxed);
-  // The record stays referenced: if this blob goes cold again unchanged (it
-  // must — blobs are immutable), the re-spill is an accounting flip, no I/O.
-  // Warm again: incompressible blobs rejoin the spill candidates directly
-  // (the compress rung would only waste a pass on them), everything else
-  // rejoins the raw LRU and descends the ladder normally.
-  Shard& shard = shards_[blob->shard];
-  if ((blob->flags & PageBlob::kIncompressible) != 0) {
-    SpillCandPushFrontLocked(shard, blob);
-  } else {
-    LruPushFrontLocked(shard, blob);
-  }
-}
-
-void PageStore::EnsureResidentLocked(PageBlob* blob) {
-  if (blob->spilled.load(std::memory_order_relaxed) != 0) {
-    FaultBackBlobLocked(blob);
-  } else if (blob->comp_bytes.load(std::memory_order_relaxed) != 0) {
-    DecompressBlobLocked(blob);
-  }
 }
 
 bool PageStore::SpillOneColdInShard(uint32_t shard_id) {
@@ -828,15 +783,6 @@ PageStore::Stats PageStore::stats() const {
     s.spill_segments_compacted = tier.segments_compacted;
   }
   return s;
-}
-
-size_t PageStore::IndexBytes() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.index.capacity() * sizeof(PageBlob*);
-  }
-  return total;
 }
 
 }  // namespace lw

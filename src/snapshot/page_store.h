@@ -11,24 +11,25 @@
 //
 // Cold-compression tier: blobs referenced only by parked snapshots go cold (the
 // store approximates "parked-only" by publish/access recency); `ShrinkTo`
-// compresses them with the in-tree LZ codec, and the guarded accessors
-// (`CopyTo`/`EqualsPage`/`CopyToIfDifferent`/`ReadBytes`) transparently
-// re-inflate on first touch, so Restore never sees compressed bytes. Raw
-// payloads are recycled through per-shard free lists when the last reference
-// drops (snapshot trees churn pages at high frequency; malloc per page would
-// dominate).
+// compresses them with the in-tree LZ codec. Raw payloads are recycled through
+// per-shard free lists when the last reference drops (snapshot trees churn
+// pages at high frequency; malloc per page would dominate).
 //
 // Spill tier (opt-in via PageStoreOptions::spill_dir): below the compressed
 // tier sits disk. Blobs the compress rung is done with park on per-shard
 // spill-candidate lists; `ShrinkTo`'s spill rung writes their payloads to the
-// SpillTier's append-only, content-hash-keyed segment files and frees the RAM
-// copy (only the blob header stays resident). The same guarded accessors that
-// re-inflate cold blobs fault spilled blobs back transparently — refcounts,
-// dedup identity, and the unique-recycler 1 → 0 protocol are oblivious to
-// where the payload lives, so a parked checkpoint population can exceed the
-// RAM budget by orders of magnitude and still restore bit-identically.
-// `ReleaseBatch` dooms spilled blobs without faulting them back (dying
-// payloads never touch RAM again).
+// SpillTier's append-only segment files and frees the RAM copy (only the blob
+// header stays resident). Refcounts, dedup identity, and the unique-recycler
+// 1 → 0 protocol are oblivious to where the payload lives, so a parked
+// checkpoint population can exceed the RAM budget by orders of magnitude and
+// still restore bit-identically.
+//
+// The ladder is one-way: a blob only ever moves raw → compressed → spilled →
+// dead. The guarded accessors (`CopyTo`/`EqualsPage`/`CopyToIfDifferent`/
+// `ReadBytes`) and the republish confirm decode a compressed or spilled
+// payload into the caller's buffer or a stack page and leave the blob where it
+// lies, so a read never allocates, never changes live bytes, and never hands
+// the ladder a page to compress or spill a second time.
 //
 // Byte budget: the store owns the lossless rungs of the budget ladder.
 // `ShrinkTo(target)` runs compress → spill → drop (free-list trim) until live
@@ -50,9 +51,8 @@
 //     threads concurrently.
 //   * Payload bytes are only ever read through the owning shard's lock
 //     (`CopyTo`, `EqualsPage`, `CopyToIfDifferent`, `ReadBytes`), which is what
-//     makes in-place compression, spilling, and fault-back safe against
-//     concurrent readers and the background compactor. There is no raw
-//     pointer accessor.
+//     makes in-place compression and spilling safe against concurrent readers
+//     and the background compactor. There is no raw pointer accessor.
 //   * Each PageRef (and therefore each session, snapshot, and frontier entry)
 //     stays owned by one thread at a time; copying/destroying PageRefs is
 //     lock-free refcounting. Sessions themselves are thread-affine — one thread
@@ -117,7 +117,7 @@ struct PageBlob {
   std::atomic<uint32_t> refcount{0};
   std::atomic<uint32_t> comp_bytes{0};  // 0 = payload holds kPageSize raw bytes
   // 1 = payload is on disk (payload == nullptr, spill_rec locates the bytes).
-  // Guarded accessors fault the blob back under the shard lock; the atomic
+  // Guarded accessors read it from disk under the shard lock; the atomic
   // exists for the lock-free check in PageRef::spilled().
   std::atomic<uint8_t> spilled{0};
   uint64_t hash = 0;  // content hash; valid while indexed
@@ -130,10 +130,9 @@ struct PageBlob {
   PageBlob* lru_prev = nullptr;   // cold-list links, valid while raw + live + unpinned
   PageBlob* lru_next = nullptr;   // (shared by the spill-candidate list, see kSpillCand)
   uint8_t* payload = nullptr;  // kPageSize raw, or comp_bytes compressed; null while spilled
-  // Spill-tier record for this blob's payload bytes. Non-null while spilled,
-  // and retained across fault-back so re-spilling unchanged content is free
-  // (the codec is deterministic, so the bytes cannot have changed). Freed when
-  // the blob is recycled.
+  // Spill-tier record holding this blob's payload bytes. A blob spills at most
+  // once, so this is non-null exactly while it is spilled; the record is freed
+  // when the blob is recycled.
   SpillRecord* spill_rec = nullptr;
 
   static constexpr uint8_t kPinned = 1;          // never compressed (canonical zero page)
@@ -179,9 +178,10 @@ class PageRef {
 
   bool valid() const { return blob_ != nullptr; }
 
-  // The only reads of payload bytes: each runs under the blob's shard lock,
-  // re-inflating a cold blob or faulting a spilled one back first, so they are
-  // safe against concurrent publishes and the background compactor.
+  // The only reads of payload bytes: each runs under the blob's shard lock, so
+  // they are safe against concurrent publishes and the background compactor.
+  // A compressed or spilled blob is decoded into the caller's buffer or a
+  // stack page and stays compressed or spilled.
   void CopyTo(void* dst) const;                            // full-page memcpy
   bool EqualsPage(const void* src) const;                  // full-page memcmp
   bool CopyToIfDifferent(void* dst) const;                 // memcmp, memcpy on mismatch
@@ -231,11 +231,11 @@ struct PageStoreOptions {
   // and deterministically — the right mode for single-threaded tools and tests.
   bool background_compaction = false;
   // Non-empty = enable the spill tier (fourth budget rung): cold blobs can be
-  // evicted to append-only segment files under this directory and are faulted
-  // back transparently on access. The directory is created if missing; its
-  // segment files live only as long as the store (deleted on destruction). If
-  // the tier fails to open, the store comes up with spill disabled and
-  // spill_status() carries the error.
+  // evicted to append-only segment files under this directory and are read
+  // from there on access. The directory is created if missing; its segment
+  // files live only as long as the store (deleted on destruction). If the tier
+  // fails to open, the store comes up with spill disabled and spill_status()
+  // carries the error.
   std::string spill_dir;
   // Spill segment file size (floor 64 KiB; see SpillTierOptions).
   uint64_t spill_segment_bytes = 4ull << 20;
@@ -321,7 +321,7 @@ class PageStore {
     uint64_t compressed_blobs = 0;          // currently cold (compressed payload)
     uint64_t compressions = 0;              // lifetime cold-tier entries
     uint64_t compression_attempts = 0;      // incl. failed (incompressible) tries
-    uint64_t decompressions = 0;            // lifetime re-inflations
+    uint64_t decompressions = 0;            // lifetime reads decoded from a compressed payload
     uint64_t live_bytes = 0;  // headers + payloads of live blobs (compression shrinks this)
     uint64_t free_bytes = 0;  // headers + retained raw payloads on the free lists
     uint64_t peak_live_bytes = 0;
@@ -331,7 +331,7 @@ class PageStore {
     uint64_t spilled_blobs = 0;           // blobs whose payload is on disk right now
     uint64_t spill_bytes = 0;             // payload bytes of those blobs
     uint64_t spills = 0;                  // lifetime spill-outs
-    uint64_t faultbacks = 0;              // lifetime fault-backs (disk → RAM)
+    uint64_t faultbacks = 0;              // lifetime reads served from a spilled payload
     uint64_t spill_segments = 0;            // live spill segment files
     uint64_t spill_segments_compacted = 0;  // lifetime segment compactions
 
@@ -361,9 +361,6 @@ class PageStore {
     s.release_shard_locks = counters_.release_shard_locks.load(std::memory_order_relaxed);
     return s;
   }
-
-  // Host bytes of the store's own structure (hash index slots, all shards).
-  size_t IndexBytes() const;
 
   // Frees all recycled blobs on every shard's free list back to the host
   // allocator.
@@ -434,7 +431,7 @@ class PageStore {
     uint64_t live_bytes = 0;   // header + payload bytes leaving the live set
     uint64_t free_bytes = 0;   // header + retained payload bytes joining the free lists
     uint64_t compressed = 0;   // compressed payloads freed
-    uint64_t spilled = 0;      // spilled blobs dropped without fault-back
+    uint64_t spilled = 0;      // spilled blobs dropped
     uint64_t spill_bytes = 0;  // their on-disk payload bytes
   };
 
@@ -462,15 +459,16 @@ class PageStore {
   // Moves a listed blob to the warm end of its list.
   void TouchLocked(Shard& shard, internal::PageBlob* blob);
 
+  // The blob's raw page bytes: the resident payload itself, or `scratch`
+  // (kPageSize bytes) after decoding a compressed or spilled payload into it.
+  // Never changes the blob's tier. The single entry point the guarded
+  // accessors (and the index's republish confirm) go through.
+  const uint8_t* PageBytesLocked(const internal::PageBlob* blob, uint8_t* scratch);
+
   bool CompressBlobLocked(Shard& shard, internal::PageBlob* blob);
-  void DecompressBlobLocked(internal::PageBlob* blob);
   bool CompressOneColdInShard(uint32_t shard_id);
 
   bool SpillBlobLocked(Shard& shard, internal::PageBlob* blob);
-  void FaultBackBlobLocked(internal::PageBlob* blob);
-  // Fault back and/or decompress so payload holds raw page bytes. The single
-  // entry point the guarded accessors (and index probes) go through.
-  void EnsureResidentLocked(internal::PageBlob* blob);
   bool SpillOneColdInShard(uint32_t shard_id);
 
   // The compress → spill → drop loop behind ShrinkTo, inline or on the

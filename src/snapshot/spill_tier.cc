@@ -13,37 +13,6 @@
 namespace lw {
 namespace {
 
-// Same xor-multiply finalizer family as the PageStore's page hash, generalized
-// to arbitrary lengths (spilled payloads are usually compressed, not
-// page-sized).
-uint64_t Fmix64(uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdull;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ull;
-  x ^= x >> 33;
-  return x;
-}
-
-uint64_t HashBytes(const void* data, size_t len) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  size_t rest = len;
-  uint64_t h = 0x9e3779b97f4a7c15ull ^ (static_cast<uint64_t>(len) * 0xff51afd7ed558ccdull);
-  while (rest >= 8) {
-    uint64_t w;
-    std::memcpy(&w, p, 8);
-    h = Fmix64(h ^ w);
-    p += 8;
-    rest -= 8;
-  }
-  if (rest > 0) {
-    uint64_t w = 0;
-    std::memcpy(&w, p, rest);
-    h = Fmix64(h ^ w);
-  }
-  return h;
-}
-
 void StoreU32(uint8_t* dst, uint32_t v) { std::memcpy(dst, &v, sizeof(v)); }
 void StoreU64(uint8_t* dst, uint64_t v) { std::memcpy(dst, &v, sizeof(v)); }
 
@@ -135,9 +104,6 @@ Result<std::unique_ptr<SpillTier>> SpillTier::Open(const SpillTierOptions& optio
   if (options.segment_bytes < kMinSegmentBytes) {
     return InvalidArgument("SpillTierOptions::segment_bytes below 64 KiB floor");
   }
-  if (!(options.compact_dead_ratio > 0.0) || options.compact_dead_ratio > 1.0) {
-    return InvalidArgument("SpillTierOptions::compact_dead_ratio must be in (0, 1]");
-  }
   if (::mkdir(options.dir.c_str(), 0755) != 0 && errno != EEXIST) {
     return IoError("cannot create spill directory " + options.dir);
   }
@@ -176,12 +142,9 @@ SpillTier::~SpillTier() {
     ::munmap(seg->map, options_.segment_bytes);
     ::close(seg->fd);
     ::unlink(seg->path.c_str());
-  }
-  for (SpillRecord* head : index_) {
-    while (head != nullptr) {
-      SpillRecord* next = head->next_hash;
-      delete head;
-      head = next;
+    while (SpillRecord* rec = seg->records) {
+      seg->records = rec->seg_next;
+      delete rec;
     }
   }
 }
@@ -191,20 +154,6 @@ SpillRecord* SpillTier::Append(uint64_t hash, const void* payload, uint32_t len,
   LW_CHECK(len > 0);
   std::lock_guard<std::mutex> lock(mu_);
   appends_++;
-  if (hash == 0) {
-    hash = HashBytes(payload, len);
-  }
-  if (!index_.empty()) {
-    size_t bucket = hash & (index_.size() - 1);
-    for (SpillRecord* rec = index_[bucket]; rec != nullptr; rec = rec->next_hash) {
-      if (rec->hash == hash && rec->len == len && rec->comp_bytes == comp_bytes &&
-          std::memcmp(segments_[rec->seg]->map + rec->off, payload, len) == 0) {
-        rec->refs++;
-        shared_hits_++;
-        return rec;
-      }
-    }
-  }
   Segment* seg = TailForAppendLocked(RecordSpan(len));
   if (seg == nullptr) {
     return nullptr;
@@ -213,9 +162,7 @@ SpillRecord* SpillTier::Append(uint64_t hash, const void* payload, uint32_t len,
   rec->hash = hash;
   rec->len = len;
   rec->comp_bytes = comp_bytes;
-  rec->refs = 1;
   WriteRecordLocked(*seg, *rec, payload);
-  IndexInsertLocked(rec);
   live_records_++;
   live_payload_bytes_ += len;
   return rec;
@@ -223,21 +170,17 @@ SpillRecord* SpillTier::Append(uint64_t hash, const void* payload, uint32_t len,
 
 void SpillTier::Read(const SpillRecord* rec, void* dst) const {
   std::lock_guard<std::mutex> lock(mu_);
-  LW_CHECK(rec != nullptr && rec->refs > 0);
+  LW_CHECK(rec != nullptr);
   const Segment* seg = segments_[rec->seg].get();
   std::memcpy(dst, seg->map + rec->off, rec->len);
 }
 
 void SpillTier::Free(SpillRecord* rec) {
   std::lock_guard<std::mutex> lock(mu_);
-  LW_CHECK(rec != nullptr && rec->refs > 0);
-  if (--rec->refs > 0) {
-    return;
-  }
-  IndexRemoveLocked(rec);
+  LW_CHECK(rec != nullptr);
   Segment* seg = segments_[rec->seg].get();
+  UnlinkLocked(*seg, *rec);
   uint64_t span = RecordSpan(rec->len);
-  seg->live_bytes -= span;
   seg->dead_bytes += span;
   dead_bytes_ += span;
   live_records_--;
@@ -258,7 +201,6 @@ SpillTier::Stats SpillTier::stats() const {
   s.dead_bytes = dead_bytes_;
   s.file_bytes = segments_live_ * options_.segment_bytes;
   s.appends = appends_;
-  s.shared_hits = shared_hits_;
   s.records_rewritten = records_rewritten_;
   return s;
 }
@@ -335,46 +277,26 @@ void SpillTier::WriteRecordLocked(Segment& seg, SpillRecord& rec, const void* pa
   rec.off = seg.used + kRecordHeaderBytes;
   seg.used += span;
   seg.live_bytes += span;
+  rec.seg_prev = nullptr;
+  rec.seg_next = seg.records;
+  if (seg.records != nullptr) {
+    seg.records->seg_prev = &rec;
+  }
+  seg.records = &rec;
 }
 
-void SpillTier::IndexInsertLocked(SpillRecord* rec) {
-  MaybeGrowIndexLocked();
-  size_t bucket = rec->hash & (index_.size() - 1);
-  rec->next_hash = index_[bucket];
-  index_[bucket] = rec;
-  index_used_++;
-}
-
-void SpillTier::IndexRemoveLocked(SpillRecord* rec) {
-  size_t bucket = rec->hash & (index_.size() - 1);
-  SpillRecord** link = &index_[bucket];
-  while (*link != rec) {
-    link = &(*link)->next_hash;
+void SpillTier::UnlinkLocked(Segment& seg, SpillRecord& rec) {
+  if (rec.seg_prev != nullptr) {
+    rec.seg_prev->seg_next = rec.seg_next;
+  } else {
+    seg.records = rec.seg_next;
   }
-  *link = rec->next_hash;
-  rec->next_hash = nullptr;
-  index_used_--;
-}
-
-void SpillTier::MaybeGrowIndexLocked() {
-  if (index_.empty()) {
-    index_.resize(64, nullptr);
-    return;
+  if (rec.seg_next != nullptr) {
+    rec.seg_next->seg_prev = rec.seg_prev;
   }
-  if (index_used_ + 1 <= index_.size() - index_.size() / 4) {
-    return;
-  }
-  std::vector<SpillRecord*> grown(index_.size() * 2, nullptr);
-  for (SpillRecord* head : index_) {
-    while (head != nullptr) {
-      SpillRecord* next = head->next_hash;
-      size_t bucket = head->hash & (grown.size() - 1);
-      head->next_hash = grown[bucket];
-      grown[bucket] = head;
-      head = next;
-    }
-  }
-  index_ = std::move(grown);
+  rec.seg_prev = nullptr;
+  rec.seg_next = nullptr;
+  seg.live_bytes -= RecordSpan(rec.len);
 }
 
 void SpillTier::MaybeReclaimSealedLocked(uint32_t seg_id) {
@@ -389,32 +311,23 @@ void SpillTier::MaybeReclaimSealedLocked(uint32_t seg_id) {
   uint64_t spanned = seg->live_bytes + seg->dead_bytes;
   if (seg->dead_bytes > 0 &&
       static_cast<double>(seg->dead_bytes) / static_cast<double>(spanned) >=
-          options_.compact_dead_ratio) {
+          kCompactDeadRatio) {
     CompactSegmentLocked(seg_id);
   }
 }
 
 void SpillTier::CompactSegmentLocked(uint32_t seg_id) {
   Segment* victim = segments_[seg_id].get();
-  // Collect the victim's live records first: rewrites touch only the records'
-  // location fields, never the hash chains, so the walk-then-move split keeps
-  // the iteration simple and the record pointers held by blobs stay valid.
-  std::vector<SpillRecord*> movers;
-  for (SpillRecord* head : index_) {
-    for (SpillRecord* rec = head; rec != nullptr; rec = rec->next_hash) {
-      if (rec->seg == seg_id) {
-        movers.push_back(rec);
-      }
-    }
-  }
-  for (SpillRecord* rec : movers) {
+  // Each move takes the head off the victim's record list, so the loop ends
+  // when the victim holds no live record. Record nodes stay put (blobs hold
+  // pointers to them); only their location fields change.
+  while (SpillRecord* rec = victim->records) {
     Segment* dst = TailForAppendLocked(RecordSpan(rec->len));
     if (dst == nullptr) {
       return;  // disk trouble: abandon, the victim keeps serving its records
     }
-    const void* src = victim->map + rec->off;
-    victim->live_bytes -= RecordSpan(rec->len);
-    WriteRecordLocked(*dst, *rec, src);
+    UnlinkLocked(*victim, *rec);
+    WriteRecordLocked(*dst, *rec, victim->map + rec->off);
     records_rewritten_++;
   }
   segments_compacted_++;

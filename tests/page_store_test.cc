@@ -218,16 +218,17 @@ TEST(PageStoreCompressionTest, CompressionPreservesExactBytes) {
   EXPECT_EQ(store.CompressAllCold(), 8u);
   EXPECT_EQ(store.stats().compressed_blobs, 8u);
   EXPECT_LT(store.stats().bytes_live(), raw_bytes);
-  // CopyTo transparently re-inflates; content must be byte-exact.
+  // CopyTo decodes into the caller's buffer; content must be byte-exact and
+  // the blob stays compressed.
   std::vector<uint8_t> got(kPageSize);
   for (uint8_t i = 1; i <= 8; ++i) {
     auto want = CompressiblePage(i);
     EXPECT_TRUE(refs[i - 1].compressed());
     refs[i - 1].CopyTo(got.data());
     EXPECT_EQ(std::memcmp(got.data(), want.data(), kPageSize), 0);
-    EXPECT_FALSE(refs[i - 1].compressed());  // warmed by the touch
+    EXPECT_TRUE(refs[i - 1].compressed());  // reads never re-warm
   }
-  EXPECT_EQ(store.stats().compressed_blobs, 0u);
+  EXPECT_EQ(store.stats().compressed_blobs, 8u);
   EXPECT_EQ(store.stats().decompressions, 8u);
   // No spill_dir was configured: the compress round trip must never have
   // touched the spill tier, and every spill counter stays exactly zero.
@@ -250,18 +251,19 @@ TEST(PageStoreCompressionTest, IncompressiblePagesStayRaw) {
   EXPECT_EQ(std::memcmp(got.data(), noise.data(), kPageSize), 0);
 }
 
-TEST(PageStoreCompressionTest, DedupAgainstColdBlobWarmsIt) {
+TEST(PageStoreCompressionTest, DedupAgainstColdBlobLeavesItCold) {
   PageStore store;
   auto page = CompressiblePage(3);
   PageRef a = store.Publish(page.data());
   ASSERT_EQ(store.CompressAllCold(), 1u);
   ASSERT_TRUE(a.compressed());
-  // Republishing the same content must hit the cold blob (and re-inflate it,
-  // since a confirmed republish means the content is hot again).
+  // Republishing the same content must hit the cold blob; the confirm decodes
+  // into a stack page, so the blob stays compressed.
   PageRef b = store.Publish(page.data());
   EXPECT_EQ(a, b);
   EXPECT_EQ(store.stats().content_dedup_hits, 1u);
-  EXPECT_FALSE(a.compressed());
+  EXPECT_TRUE(a.compressed());
+  EXPECT_EQ(store.stats().decompressions, 1u);
 }
 
 TEST(PageStoreCompressionTest, ZeroPageIsNeverCompressed) {

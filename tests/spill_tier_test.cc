@@ -1,6 +1,6 @@
 // Spill tier (the budget ladder's fourth rung):
-//   * SpillTier unit coverage — append/read/free round trips, content-addressed
-//     dedup on disk, segment rollover and compaction, option validation;
+//   * SpillTier unit coverage — append/read/free round trips, segment rollover
+//     and compaction, option validation;
 //   * crash model — a truncated or corrupt leftover segment makes Open fail
 //     with a clean IoError (file left as evidence, no UB); a valid stale
 //     segment is reclaimed silently;
@@ -8,12 +8,16 @@
 //     compression alone without touching disk, and only reaches for the spill
 //     rung when compression is exhausted; inline and background_compaction
 //     stores end in the same state;
-//   * round-trip parity — spilled blobs fault back bit-identical through every
+//   * round-trip parity — spilled blobs read back bit-identical through every
 //     guarded accessor, dedup identity (same bytes → same blob pointer) holds
 //     across the RAM/disk boundary, and a store with spill disabled keeps all
 //     spill counters at exactly zero;
-//   * concurrency — reader fault-backs, publishes, ReleaseBatch storms, and a
-//     spiller thread hammering one shared store stay coherent (tsan-safe);
+//   * the one-way read contract — a read of a compressed or spilled blob
+//     decodes into the caller's buffer and leaves the blob's tier and the
+//     store's residency counters exactly as they were;
+//   * concurrency — readers of spilled blobs, publishes, ReleaseBatch storms,
+//     and a spiller thread hammering one shared store stay coherent
+//     (tsan-safe);
 //   * E15 acceptance — a parked checkpoint population whose logical bytes are
 //     ≥ 10× the RAM budget stays resident under the budget and restores
 //     bit-identically to a never-spilled run, in all five snapshot modes.
@@ -138,16 +142,10 @@ TEST(SpillTierTest, OpenRejectsBadOptions) {
   EXPECT_FALSE(SpillTier::Open(options).ok());
 
   options.segment_bytes = SpillTier::kMinSegmentBytes;
-  options.compact_dead_ratio = 0.0;
-  EXPECT_FALSE(SpillTier::Open(options).ok());
-  options.compact_dead_ratio = 1.5;
-  EXPECT_FALSE(SpillTier::Open(options).ok());
-
-  options.compact_dead_ratio = 0.5;
   EXPECT_TRUE(SpillTier::Open(options).ok());
 }
 
-TEST(SpillTierTest, AppendReadFreeRoundTripAndDedup) {
+TEST(SpillTierTest, AppendReadFreeRoundTrip) {
   ScopedSpillDir tmp;
   SpillTierOptions options;
   options.dir = tmp.Sub("tier");
@@ -166,14 +164,9 @@ TEST(SpillTierTest, AppendReadFreeRoundTripAndDedup) {
   ASSERT_NE(rb, nullptr);
   EXPECT_NE(ra, rb);
 
-  // Byte-identical payloads collapse to one record with a bumped refcount.
-  SpillRecord* ra2 = tier->Append(0, a, kPageSize, 0);
-  EXPECT_EQ(ra2, ra);
-
   SpillTier::Stats stats = tier->stats();
   EXPECT_EQ(stats.live_records, 2u);
-  EXPECT_EQ(stats.appends, 3u);
-  EXPECT_EQ(stats.shared_hits, 1u);
+  EXPECT_EQ(stats.appends, 2u);
   EXPECT_EQ(stats.live_payload_bytes, 2 * kPageSize);
 
   tier->Read(ra, out);
@@ -181,10 +174,12 @@ TEST(SpillTierTest, AppendReadFreeRoundTripAndDedup) {
   tier->Read(rb, out);
   EXPECT_EQ(std::memcmp(out, b, kPageSize), 0);
 
-  tier->Free(ra);  // one of two references: record survives
-  tier->Read(ra, out);
-  EXPECT_EQ(std::memcmp(out, a, kPageSize), 0);
-  tier->Free(ra);
+  tier->Free(ra);  // the other record stays readable
+  stats = tier->stats();
+  EXPECT_EQ(stats.live_records, 1u);
+  EXPECT_EQ(stats.live_payload_bytes, kPageSize);
+  tier->Read(rb, out);
+  EXPECT_EQ(std::memcmp(out, b, kPageSize), 0);
   tier->Free(rb);
   stats = tier->stats();
   EXPECT_EQ(stats.live_records, 0u);
@@ -369,7 +364,9 @@ TEST(SpillStoreTest, SpillRoundTripIsBitIdenticalAndKeepsDedupIdentity) {
   EXPECT_GT(stats.spill_segments, 0u);
   EXPECT_LT(stats.bytes_live(), stats.bytes_logical());
 
-  // Every guarded accessor faults back bit-identical content.
+  // Every guarded accessor reads back bit-identical content, and the blob
+  // stays on disk.
+  const PageStore::Stats spilled_stats = stats;
   uint8_t expect[kPageSize], out[kPageSize];
   for (uint32_t i = 0; i < kCount; ++i) {
     if (i % 2 == 0) {
@@ -384,35 +381,121 @@ TEST(SpillStoreTest, SpillRoundTripIsBitIdenticalAndKeepsDedupIdentity) {
     } else {
       EXPECT_TRUE(refs[i].EqualsPage(expect)) << "page " << i;
     }
-    EXPECT_FALSE(refs[i].spilled());
+    EXPECT_TRUE(refs[i].spilled());
   }
   stats = store.stats();
   EXPECT_EQ(stats.faultbacks, kCount);
-  EXPECT_EQ(stats.spilled_blobs, 0u);
-  EXPECT_EQ(stats.spill_bytes, 0u);
-
-  // Re-spill is free I/O-wise: records were retained across fault-back, so no
-  // new segments appear.
-  uint64_t segments_before = stats.spill_segments;
-  store.CompressAllCold();
-  EXPECT_EQ(store.SpillAllCold(), kCount);
-  stats = store.stats();
   EXPECT_EQ(stats.spilled_blobs, kCount);
-  EXPECT_EQ(stats.spill_segments, segments_before);
+  EXPECT_EQ(stats.spill_bytes, spilled_stats.spill_bytes);
+  EXPECT_EQ(stats.live_bytes, spilled_stats.live_bytes);
+
+  // The reads handed the ladder nothing back: no blob is left to compress or
+  // spill again, and no new segment appears.
+  EXPECT_EQ(store.CompressAllCold(), 0u);
+  EXPECT_EQ(store.SpillAllCold(), 0u);
+  EXPECT_EQ(store.stats().spill_segments, spilled_stats.spill_segments);
 
   // Dedup identity crosses the RAM/disk boundary: publishing bytes whose blob
-  // is currently on disk collapses to the *same* blob (faulted back to prove
-  // the match).
+  // is on disk collapses to the *same* blob (read from disk to prove the
+  // match), which stays on disk.
   FillNoisePage(buf, 5, 1);
   PageRef again = store.Publish(buf);
   EXPECT_EQ(again, refs[1]);
-  EXPECT_FALSE(again.spilled());
+  EXPECT_TRUE(again.spilled());
 
   again.Reset();
   store.ReleaseBatch(refs);
   stats = store.stats();
   EXPECT_EQ(stats.spilled_blobs, 0u);
   EXPECT_EQ(stats.spill_bytes, 0u);
+}
+
+// The one-way ladder's read contract: every read of a compressed blob, and of
+// a spilled blob whose record is compressed or raw, returns exact bytes,
+// leaves the blob's tier and the store's residency counters unchanged, and
+// counts exactly one decode (decompressions for RAM, faultbacks for disk).
+TEST(SpillStoreTest, ColdReadsDecodeWhereTheBlobLies) {
+  ScopedSpillDir tmp;
+  PageStoreOptions options;
+  options.spill_dir = tmp.Sub("store");
+  options.spill_segment_bytes = SpillTier::kMinSegmentBytes;
+  PageStore store(options);
+  ASSERT_TRUE(store.spill_enabled()) << store.spill_status().ToString();
+
+  uint8_t comp_page[kPageSize], spill_comp_page[kPageSize], spill_raw_page[kPageSize];
+  FillPage(comp_page, 31, 0);
+  FillPage(spill_comp_page, 31, 1);
+  FillNoisePage(spill_raw_page, 31, 2);
+  PageRef spilled_comp = store.Publish(spill_comp_page);
+  PageRef spilled_raw = store.Publish(spill_raw_page);
+  store.CompressAllCold();
+  ASSERT_EQ(store.SpillAllCold(), 2u);
+  PageRef compressed = store.Publish(comp_page);
+  ASSERT_EQ(store.CompressAllCold(), 1u);
+  ASSERT_TRUE(compressed.compressed());
+  ASSERT_FALSE(compressed.spilled());
+  ASSERT_TRUE(spilled_comp.spilled());
+  ASSERT_TRUE(spilled_raw.spilled());
+  // One record holds codec bytes, the other a raw page.
+  ASSERT_GT(store.stats().spill_bytes, kPageSize);
+  ASSERT_LT(store.stats().spill_bytes, 2 * kPageSize);
+
+  struct Case {
+    const char* name;
+    const PageRef* ref;
+    const uint8_t* want;
+    bool on_disk;
+  };
+  const Case cases[] = {{"compressed", &compressed, comp_page, false},
+                        {"spilled compressed", &spilled_comp, spill_comp_page, true},
+                        {"spilled raw", &spilled_raw, spill_raw_page, true}};
+  const char* const kOps[] = {"CopyTo", "EqualsPage", "CopyToIfDifferent", "ReadBytes",
+                              "republish"};
+  for (const Case& c : cases) {
+    for (int op = 0; op < 5; ++op) {
+      SCOPED_TRACE(std::string(c.name) + " / " + kOps[op]);
+      const bool was_compressed = c.ref->compressed();
+      const bool was_spilled = c.ref->spilled();
+      const PageStore::Stats before = store.stats();
+      uint8_t out[kPageSize];
+      std::memset(out, 0xab, kPageSize);
+      switch (op) {
+        case 0:
+          c.ref->CopyTo(out);
+          EXPECT_EQ(std::memcmp(out, c.want, kPageSize), 0);
+          break;
+        case 1:
+          EXPECT_TRUE(c.ref->EqualsPage(c.want));
+          break;
+        case 2:
+          EXPECT_TRUE(c.ref->CopyToIfDifferent(out));
+          EXPECT_EQ(std::memcmp(out, c.want, kPageSize), 0);
+          break;
+        case 3:
+          c.ref->ReadBytes(100, out, 300);
+          EXPECT_EQ(std::memcmp(out, c.want + 100, 300), 0);
+          break;
+        case 4: {
+          PageRef again = store.Publish(c.want);
+          EXPECT_EQ(again, *c.ref);
+          break;
+        }
+      }
+      const PageStore::Stats after = store.stats();
+      EXPECT_EQ(c.ref->compressed(), was_compressed);
+      EXPECT_EQ(c.ref->spilled(), was_spilled);
+      EXPECT_EQ(after.live_bytes, before.live_bytes);
+      EXPECT_EQ(after.peak_live_bytes, before.peak_live_bytes);
+      EXPECT_EQ(after.compressed_blobs, before.compressed_blobs);
+      EXPECT_EQ(after.spilled_blobs, before.spilled_blobs);
+      EXPECT_EQ(after.spill_bytes, before.spill_bytes);
+      EXPECT_EQ(after.decompressions - before.decompressions, c.on_disk ? 0u : 1u);
+      EXPECT_EQ(after.faultbacks - before.faultbacks, c.on_disk ? 1u : 0u);
+    }
+  }
+  // A republish hit must not put a spilled blob on the raw LRU: the compress
+  // rung would read its null payload.
+  EXPECT_EQ(store.CompressAllCold(), 0u);
 }
 
 TEST(SpillStoreTest, BudgetLadderSpillsOnlyAfterCompressionIsExhausted) {
@@ -493,9 +576,9 @@ TEST(SpillStoreTest, ShrinkToInlineAndBackgroundEndAlike) {
   EXPECT_EQ(inline_end.spilled_blobs, background_end.spilled_blobs);
 }
 
-// Four threads against one spill-enabled store: readers fault blobs back while
-// a spiller pushes them out again and a churner publishes and batch-releases
-// fresh content. No session, no CoW — tsan-safe by construction.
+// Four threads against one spill-enabled store: readers read spilled blobs
+// from disk while a spiller works the cold tails and a churner publishes and
+// batch-releases fresh content. No session, no CoW — tsan-safe by construction.
 TEST(SpillStoreTest, ConcurrentFaultbackPublishReleaseStorm) {
   ScopedSpillDir tmp;
   PageStoreOptions options;
@@ -537,7 +620,7 @@ TEST(SpillStoreTest, ConcurrentFaultbackPublishReleaseStorm) {
       }
       store->CompressAllCold();
       store->SpillAllCold();
-      store->ReleaseBatch(mine);  // dying spilled blobs must not fault back
+      store->ReleaseBatch(mine);  // dying spilled blobs are never read back
     }
   };
   auto spiller = [&store]() {
