@@ -15,7 +15,7 @@ constexpr uint8_t kStatusQueryError = 1;
 constexpr uint8_t kStatusMalformed = 2;
 
 // status u8 + truncated u8 + pad u16 + solutions u64 + text_len u32.
-constexpr size_t kResponseHeaderBytes = 16;
+constexpr size_t kResponseHeaderSize = 16;
 
 // Appends a goal-conjunction chunk to the accumulated query, normalizing away
 // a trailing terminator so chunks compose with ", " into one conjunction.
@@ -38,7 +38,7 @@ void AppendGoals(Vec<char>* goals, const char* text, size_t len) {
 void WriteResponse(GuestMailbox& mailbox, uint8_t status, uint64_t solutions,
                    const char* text, size_t text_len, bool truncated_already) {
   WireWriter w(mailbox.data(), mailbox.capacity());
-  size_t text_cap = mailbox.capacity() - kResponseHeaderBytes;
+  size_t text_cap = mailbox.capacity() - kResponseHeaderSize;
   bool truncated = truncated_already;
   if (text_len > text_cap) {
     text_len = text_cap;
@@ -134,7 +134,7 @@ PrologService::PrologService(Options options)
 }
 
 Result<PrologService::Outcome> PrologService::BuildOutcome(Checkpoint checkpoint) {
-  uint8_t hdr[kResponseHeaderBytes];
+  uint8_t hdr[kResponseHeaderSize];
   LW_RETURN_IF_ERROR(host_.ReadResponse(checkpoint, hdr, sizeof(hdr)));
   WireReader r(hdr, sizeof(hdr));
   uint8_t status = 0;
@@ -148,12 +148,12 @@ Result<PrologService::Outcome> PrologService::BuildOutcome(Checkpoint checkpoint
   r.u8(&pad);
   r.u64(&solutions);
   r.u32(&text_len);
-  if (!r.ok() || kResponseHeaderBytes + static_cast<size_t>(text_len) > host_.mailbox_capacity()) {
+  if (!r.ok() || kResponseHeaderSize + static_cast<size_t>(text_len) > host_.mailbox_capacity()) {
     return Internal("prolog service: corrupt response header");
   }
-  std::vector<uint8_t> full(kResponseHeaderBytes + text_len);
+  std::vector<uint8_t> full(kResponseHeaderSize + text_len);
   LW_RETURN_IF_ERROR(host_.ReadResponse(checkpoint, full.data(), full.size()));
-  std::string text(full.begin() + kResponseHeaderBytes, full.end());
+  std::string text(full.begin() + kResponseHeaderSize, full.end());
 
   if (status != kStatusOk) {
     // The flagged node carries rejected/unprovable state; drop it so it can

@@ -15,7 +15,7 @@ constexpr uint8_t kFlagFallFeasible = 1u << 1;
 constexpr uint8_t kFlagMalformedRequest = 1u << 2;
 
 // kind u8 + flags u8 + pad u16 + pc u32 + depth u32 + steps u64 + count u32.
-constexpr size_t kResponseHeaderBytes = 24;
+constexpr size_t kResponseHeaderSize = 24;
 
 // Guest-side per-service state; any value that must survive a Park lives
 // either here (arena via GuestNew/Vec) or on the guest stack as POD.
@@ -37,7 +37,7 @@ struct GuestCtx {
     w.u64(vm->steps());
     uint32_t count = witness != nullptr ? static_cast<uint32_t>(witness->size()) : 0;
     // The witness must fit the mailbox; cap it rather than corrupt the frame.
-    size_t wit_cap = (mailbox.capacity() - kResponseHeaderBytes) / 4;
+    size_t wit_cap = (mailbox.capacity() - kResponseHeaderSize) / 4;
     if (count > wit_cap) {
       count = static_cast<uint32_t>(wit_cap);
     }
@@ -189,7 +189,7 @@ SymxService::SymxService(Options options)
 }
 
 Result<SymxService::Outcome> SymxService::BuildOutcome(Checkpoint checkpoint) {
-  uint8_t hdr[kResponseHeaderBytes];
+  uint8_t hdr[kResponseHeaderSize];
   LW_RETURN_IF_ERROR(host_.ReadResponse(checkpoint, hdr, sizeof(hdr)));
   WireReader r(hdr, sizeof(hdr));
   uint8_t kind = 0;
@@ -208,14 +208,14 @@ Result<SymxService::Outcome> SymxService::BuildOutcome(Checkpoint checkpoint) {
   r.u64(&steps);
   r.u32(&witness_count);
   if (!r.ok() || kind > static_cast<uint8_t>(StateKind::kViolation) ||
-      kResponseHeaderBytes + 4ull * witness_count > host_.mailbox_capacity()) {
+      kResponseHeaderSize + 4ull * witness_count > host_.mailbox_capacity()) {
     return Internal("symx service: corrupt response header");
   }
   if ((flags & kFlagMalformedRequest) != 0) {
     LW_RETURN_IF_ERROR(host_.Release(checkpoint));
     return InvalidArgument("symx service: malformed request rejected by the guest decoder");
   }
-  std::vector<uint8_t> full(kResponseHeaderBytes + 4ull * witness_count);
+  std::vector<uint8_t> full(kResponseHeaderSize + 4ull * witness_count);
   LW_RETURN_IF_ERROR(host_.ReadResponse(checkpoint, full.data(), full.size()));
 
   Outcome outcome;
@@ -227,7 +227,7 @@ Result<SymxService::Outcome> SymxService::BuildOutcome(Checkpoint checkpoint) {
   outcome.fall_feasible = (flags & kFlagFallFeasible) != 0;
   outcome.witness.resize(witness_count);
   if (witness_count > 0) {
-    std::memcpy(outcome.witness.data(), full.data() + kResponseHeaderBytes,
+    std::memcpy(outcome.witness.data(), full.data() + kResponseHeaderSize,
                 4ull * witness_count);
   }
   outcome.token = std::move(checkpoint);

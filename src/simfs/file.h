@@ -51,7 +51,7 @@ class FileData {
 
   // Functional truncate/extend. Shrinking drops whole chunks past the new end
   // and zero-fills the tail of the boundary chunk (so re-extending reads zeros,
-  // matching POSIX ftruncate semantics). Growing creates a hole.
+  // matching POSIX truncate semantics). Growing creates a hole.
   FileData Truncate(size_t new_size) const;
 
   // Whole-contents copy as a string (tests and small files only).

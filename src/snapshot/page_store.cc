@@ -9,6 +9,7 @@
 namespace lw {
 
 using internal::PageBlob;
+using Tier = internal::PageBlob::Tier;
 
 namespace {
 
@@ -101,12 +102,11 @@ PageBlob* PageStore::AcquireBlobLocked(Shard& shard, uint32_t shard_id) {
   // other threads) only under this same shard lock.
   blob->refcount.store(1, std::memory_order_relaxed);
   blob->comp_bytes.store(0, std::memory_order_relaxed);
-  blob->spilled.store(0, std::memory_order_relaxed);
+  blob->tier.store(Tier::kPinned, std::memory_order_relaxed);  // on no list yet
   blob->spill_rec = nullptr;
   blob->hash = 0;
   blob->owner = 0;
   blob->shard = shard_id;
-  blob->flags = 0;
   blob->indexed = false;
   blob->store = this;
   blob->next_free = nullptr;
@@ -138,14 +138,13 @@ void PageStore::RecycleLocked(Shard& shard, PageBlob* blob, RecycleTally* tally)
   if (blob->indexed) {
     IndexRemoveLocked(shard, blob);
   }
-  UnlistLocked(shard, blob);
+  MoveLocked(shard, blob, Tier::kPinned);  // off its list until Publish reuses it
   tally->live_bytes += sizeof(PageBlob) + PayloadBytes(blob);
   // A dying spilled blob is never read back: only its disk record and header
   // go away.
   if (blob->spill_rec != nullptr) {
     ++tally->spilled;
     tally->spill_bytes += blob->spill_rec->len;
-    blob->spilled.store(0, std::memory_order_relaxed);
     spill_->Free(blob->spill_rec);
     blob->spill_rec = nullptr;
   }
@@ -269,7 +268,7 @@ PageRef PageStore::Publish(const void* src, uint32_t owner) {
     if (hit->owner != owner) {
       counters_.cross_session_dedup_hits.fetch_add(1, std::memory_order_relaxed);
     }
-    TouchLocked(shard, hit);
+    MoveLocked(shard, hit, hit->tier.load(std::memory_order_relaxed));  // touch
     return PageRef(hit);  // IndexFindLocked already took the reference
   }
   PageBlob* blob = AcquireBlobLocked(shard, shard_id);
@@ -277,7 +276,7 @@ PageRef PageStore::Publish(const void* src, uint32_t owner) {
   blob->owner = owner;
   blob->hash = hash;
   IndexInsertLocked(shard, blob);
-  LruPushFrontLocked(shard, blob);
+  MoveLocked(shard, blob, Tier::kRaw);
   return PageRef(blob);
 }
 
@@ -287,7 +286,7 @@ PageRef PageStore::ZeroPage() {
     std::lock_guard<std::mutex> lock(shard.mu);
     PageBlob* blob = AcquireBlobLocked(shard, 0);
     std::memset(blob->payload, 0, kPageSize);
-    blob->flags = PageBlob::kPinned;  // permanently shared and hot: never cold-compressed
+    // Left kPinned: permanently shared and hot, so no rung ever takes it.
     zero_page_ = PageRef(blob);
   });
   return zero_page_;
@@ -410,7 +409,7 @@ void PageStore::IndexRemoveLocked(Shard& shard, PageBlob* blob) {
 // ---------------------------------------------------------------------------
 
 const uint8_t* PageStore::PageBytesLocked(const PageBlob* blob, uint8_t* scratch) {
-  if (blob->spilled.load(std::memory_order_relaxed) != 0) {
+  if (blob->tier.load(std::memory_order_relaxed) == Tier::kSpilled) {
     const SpillRecord* rec = blob->spill_rec;
     if (rec->comp_bytes != 0) {
       uint8_t comp[kPageSize];  // compressed payloads are below kPageSize
@@ -475,7 +474,7 @@ void PageRef::ReadBytes(size_t offset, void* dst, size_t len) const {
 }
 
 // ---------------------------------------------------------------------------
-// Cold lists (per shard; helpers run under the shard's mutex).
+// Tier lists (per shard; helpers run under the shard's mutex).
 // ---------------------------------------------------------------------------
 
 void PageStore::ColdList::PushFront(PageBlob* blob) {
@@ -493,62 +492,37 @@ void PageStore::ColdList::PushFront(PageBlob* blob) {
 void PageStore::ColdList::Remove(PageBlob* blob) {
   if (blob->lru_prev != nullptr) {
     blob->lru_prev->lru_next = blob->lru_next;
-  } else if (head == blob) {
+  } else {
     head = blob->lru_next;
   }
   if (blob->lru_next != nullptr) {
     blob->lru_next->lru_prev = blob->lru_prev;
-  } else if (tail == blob) {
+  } else {
     tail = blob->lru_prev;
   }
   blob->lru_prev = nullptr;
   blob->lru_next = nullptr;
 }
 
-void PageStore::LruPushFrontLocked(Shard& shard, PageBlob* blob) {
-  // Pinned blobs never compress; known-incompressible blobs would only waste
-  // another full compressor pass — neither belongs on the cold list.
-  if ((blob->flags & (PageBlob::kPinned | PageBlob::kIncompressible)) != 0) {
-    return;
-  }
-  shard.lru.PushFront(blob);
-}
-
-void PageStore::SpillCandPushFrontLocked(Shard& shard, PageBlob* blob) {
-  if (spill_ == nullptr || (blob->flags & PageBlob::kPinned) != 0) {
-    return;
-  }
-  blob->flags |= PageBlob::kSpillCand;
-  shard.spill.PushFront(blob);
-}
-
-void PageStore::UnlistLocked(Shard& shard, PageBlob* blob) {
-  if ((blob->flags & PageBlob::kSpillCand) != 0) {
-    shard.spill.Remove(blob);
-    blob->flags &= static_cast<uint8_t>(~PageBlob::kSpillCand);
-  } else if (blob->comp_bytes.load(std::memory_order_relaxed) == 0 &&
-             (blob->flags & PageBlob::kPinned) == 0) {
-    shard.lru.Remove(blob);
+PageStore::ColdList* PageStore::ListOf(Shard& shard, Tier tier) {
+  switch (tier) {
+    case Tier::kRaw:
+      return &shard.lru;
+    case Tier::kCold:
+      return &shard.spill;
+    default:
+      return nullptr;
   }
 }
 
-void PageStore::TouchLocked(Shard& shard, PageBlob* blob) {
-  if ((blob->flags & PageBlob::kSpillCand) != 0) {
-    // Spill candidates track recency on their own list; the spill rung eats
-    // from its tail, so a republish hit keeps this blob off disk for longer.
-    shard.spill.Remove(blob);
-    shard.spill.PushFront(blob);
-    return;
+void PageStore::MoveLocked(Shard& shard, PageBlob* blob, Tier tier) {
+  if (ColdList* from = ListOf(shard, blob->tier.load(std::memory_order_relaxed))) {
+    from->Remove(blob);
   }
-  // Only raw blobs sit on the raw LRU: a compressed blob without a spill tier
-  // and a spilled blob are on no list and stay off it.
-  if ((blob->flags & PageBlob::kPinned) != 0 ||
-      blob->comp_bytes.load(std::memory_order_relaxed) != 0 ||
-      blob->spilled.load(std::memory_order_relaxed) != 0) {
-    return;
+  blob->tier.store(tier, std::memory_order_release);
+  if (ColdList* to = ListOf(shard, tier)) {
+    to->PushFront(blob);
   }
-  shard.lru.Remove(blob);
-  LruPushFrontLocked(shard, blob);
 }
 
 // ---------------------------------------------------------------------------
@@ -563,10 +537,8 @@ bool PageStore::CompressBlobLocked(Shard& shard, PageBlob* blob) {
   size_t n = Compress(blob->payload, kPageSize, tmp, kPageSize - 1);
   // The compress rung is done with the blob either way; the next rung down is
   // disk, which takes a compressed or a raw incompressible payload alike.
-  UnlistLocked(shard, blob);
   if (n == 0) {
-    blob->flags |= PageBlob::kIncompressible;
-    SpillCandPushFrontLocked(shard, blob);
+    MoveLocked(shard, blob, Tier::kCold);
     return false;
   }
   uint8_t* small = static_cast<uint8_t*>(std::malloc(n));
@@ -575,7 +547,7 @@ bool PageStore::CompressBlobLocked(Shard& shard, PageBlob* blob) {
   std::free(blob->payload);
   blob->payload = small;
   blob->comp_bytes.store(static_cast<uint32_t>(n), std::memory_order_release);
-  SpillCandPushFrontLocked(shard, blob);
+  MoveLocked(shard, blob, Tier::kCold);
   counters_.live_bytes.fetch_sub(kPageSize - n, std::memory_order_relaxed);
   counters_.compressed_blobs.fetch_add(1, std::memory_order_relaxed);
   counters_.compressions.fetch_add(1, std::memory_order_relaxed);
@@ -590,7 +562,7 @@ bool PageStore::CompressOneColdInShard(uint32_t shard_id) {
     if (CompressBlobLocked(shard, coldest)) {
       return true;
     }
-    // Incompressible: CompressBlobLocked dropped it from the list; try next.
+    // Incompressible: CompressBlobLocked moved it to kCold; try the next.
   }
   return false;
 }
@@ -625,17 +597,16 @@ uint64_t PageStore::CompressAllCold() {
 bool PageStore::SpillBlobLocked(Shard& shard, PageBlob* blob) {
   uint32_t comp = blob->comp_bytes.load(std::memory_order_relaxed);
   uint32_t len = comp != 0 ? comp : static_cast<uint32_t>(kPageSize);
-  SpillRecord* rec = spill_->Append(blob->hash, blob->payload, len, comp);
+  SpillRecord* rec = spill_->Append(blob->payload, len, comp);
   if (rec == nullptr) {
     return false;  // disk trouble — leave the blob resident
   }
   blob->spill_rec = rec;
   // Payload lives on disk now; only the header stays resident.
-  UnlistLocked(shard, blob);
   std::free(blob->payload);
   blob->payload = nullptr;
   blob->comp_bytes.store(0, std::memory_order_relaxed);
-  blob->spilled.store(1, std::memory_order_release);
+  MoveLocked(shard, blob, Tier::kSpilled);
   counters_.live_bytes.fetch_sub(len, std::memory_order_relaxed);
   if (comp != 0) {
     counters_.compressed_blobs.fetch_sub(1, std::memory_order_relaxed);
@@ -647,15 +618,18 @@ bool PageStore::SpillBlobLocked(Shard& shard, PageBlob* blob) {
 }
 
 bool PageStore::SpillOneColdInShard(uint32_t shard_id) {
+  if (spill_ == nullptr) {
+    return false;  // kCold blobs stay listed, but there is no disk to take them
+  }
   Shard& shard = shards_[shard_id];
   std::lock_guard<std::mutex> lock(shard.mu);
-  PageBlob* victim = shard.spill.tail;  // coldest spill candidate
+  PageBlob* victim = shard.spill.tail;  // coldest kCold blob
   return victim != nullptr && SpillBlobLocked(shard, victim);
 }
 
 bool PageStore::SpillOneCold() {
   if (spill_ == nullptr) {
-    return false;
+    return false;  // before advancing the round-robin cursor the compress rung shares
   }
   // Round-robin over shards, mirroring CompressOneCold's approximation of
   // global cold order.
@@ -669,9 +643,6 @@ bool PageStore::SpillOneCold() {
 }
 
 uint64_t PageStore::SpillAllCold() {
-  if (spill_ == nullptr) {
-    return 0;
-  }
   uint64_t count = 0;
   for (uint32_t shard_id = 0; shard_id < kPageStoreShards; ++shard_id) {
     while (SpillOneColdInShard(shard_id)) {

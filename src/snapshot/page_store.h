@@ -16,20 +16,24 @@
 // pages at high frequency; malloc per page would dominate).
 //
 // Spill tier (opt-in via PageStoreOptions::spill_dir): below the compressed
-// tier sits disk. Blobs the compress rung is done with park on per-shard
-// spill-candidate lists; `ShrinkTo`'s spill rung writes their payloads to the
-// SpillTier's append-only segment files and frees the RAM copy (only the blob
+// tier sits disk. `ShrinkTo`'s spill rung writes the payloads of blobs the
+// compress rung is done with to the SpillTier's append-only segments (scratch
+// space private to this process) and frees the RAM copy (only the blob
 // header stays resident). Refcounts, dedup identity, and the unique-recycler
 // 1 → 0 protocol are oblivious to where the payload lives, so a parked
 // checkpoint population can exceed the RAM budget by orders of magnitude and
 // still restore bit-identically.
 //
-// The ladder is one-way: a blob only ever moves raw → compressed → spilled →
-// dead. The guarded accessors (`CopyTo`/`EqualsPage`/`CopyToIfDifferent`/
-// `ReadBytes`) and the republish confirm decode a compressed or spilled
-// payload into the caller's buffer or a stack page and leave the blob where it
-// lies, so a read never allocates, never changes live bytes, and never hands
-// the ladder a page to compress or spill a second time.
+// The ladder is one-way: a blob only ever moves raw → cold (compressed, or
+// raw and incompressible) → spilled → dead. One tier word per blob
+// (PageBlob::tier) records where it is, and the tier alone names the one
+// per-shard list that holds it: raw blobs on the LRU the compress rung eats,
+// cold blobs on the list the spill rung eats. The guarded accessors
+// (`CopyTo`/`EqualsPage`/`CopyToIfDifferent`/`ReadBytes`) and the republish
+// confirm decode a compressed or spilled payload into the caller's buffer or a
+// stack page and leave the blob where it lies, so a read never allocates,
+// never changes live bytes, and never hands the ladder a page to compress or
+// spill a second time.
 //
 // Byte budget: the store owns the lossless rungs of the budget ladder.
 // `ShrinkTo(target)` runs compress → spill → drop (free-list trim) until live
@@ -40,7 +44,7 @@
 // caller returns to the search immediately.
 //
 // Concurrency model (the store is internally synchronized):
-//   * The index, free lists, and cold lists are split across
+//   * The index, free lists, and tier lists are split across
 //     `kPageStoreShards` shards selected by content-hash prefix; each shard has
 //     its own mutex, so sessions on different worker threads publishing
 //     different content rarely contend. Blob refcounts and all stats counters
@@ -114,33 +118,35 @@ struct SpillRecord;
 
 namespace internal {
 struct PageBlob {
+  // A blob's place on the one-way budget ladder, and with it the one shard
+  // list that holds it:
+  //   kRaw      resident raw page; on shard.lru, the compress rung's list;
+  //   kCold     compressed, or raw and incompressible; on shard.spill, the
+  //             spill rung's list (listed even when the store has no spill
+  //             tier: the spill rung then takes nothing);
+  //   kSpilled  payload on disk (payload null, spill_rec set); on no list;
+  //   kPinned   on no list, and no rung moves it: the canonical zero page,
+  //             and a recycled header until Publish makes it kRaw.
+  enum class Tier : uint8_t { kRaw, kCold, kSpilled, kPinned };
+
   std::atomic<uint32_t> refcount{0};
   std::atomic<uint32_t> comp_bytes{0};  // 0 = payload holds kPageSize raw bytes
-  // 1 = payload is on disk (payload == nullptr, spill_rec locates the bytes).
-  // Guarded accessors read it from disk under the shard lock; the atomic
-  // exists for the lock-free check in PageRef::spilled().
-  std::atomic<uint8_t> spilled{0};
+  // Written under the shard lock only (PageStore::MoveLocked); atomic for the
+  // lock-free check in PageRef::spilled().
+  std::atomic<Tier> tier{Tier::kPinned};
   uint64_t hash = 0;  // content hash; valid while indexed
   uint32_t owner = 0;  // first publisher (dedup attribution only)
-  uint32_t shard = 0;  // owning shard (lock, index, free/LRU lists)
-  uint8_t flags = 0;
+  uint32_t shard = 0;  // owning shard (lock, index, free and tier lists)
   bool indexed = false;
   PageStore* store = nullptr;
   PageBlob* next_free = nullptr;  // free-list link, valid only while refcount == 0
-  PageBlob* lru_prev = nullptr;   // cold-list links, valid while raw + live + unpinned
-  PageBlob* lru_next = nullptr;   // (shared by the spill-candidate list, see kSpillCand)
+  PageBlob* lru_prev = nullptr;   // links on the tier's list (kRaw, kCold)
+  PageBlob* lru_next = nullptr;
   uint8_t* payload = nullptr;  // kPageSize raw, or comp_bytes compressed; null while spilled
   // Spill-tier record holding this blob's payload bytes. A blob spills at most
-  // once, so this is non-null exactly while it is spilled; the record is freed
-  // when the blob is recycled.
+  // once, so this is non-null exactly while it is kSpilled; the record is
+  // freed when the blob is recycled.
   SpillRecord* spill_rec = nullptr;
-
-  static constexpr uint8_t kPinned = 1;          // never compressed (canonical zero page)
-  static constexpr uint8_t kIncompressible = 2;  // compression attempted, no win
-  // On the shard's spill-candidate list (links via lru_prev/lru_next, distinct
-  // head/tail). The flag disambiguates which list owns the links, so removal
-  // sites fix the right head/tail pointers.
-  static constexpr uint8_t kSpillCand = 4;
 };
 }  // namespace internal
 
@@ -199,7 +205,8 @@ class PageRef {
     return blob_ != nullptr && blob_->comp_bytes.load(std::memory_order_acquire) != 0;
   }
   bool spilled() const {
-    return blob_ != nullptr && blob_->spilled.load(std::memory_order_acquire) != 0;
+    return blob_ != nullptr &&
+           blob_->tier.load(std::memory_order_acquire) == internal::PageBlob::Tier::kSpilled;
   }
 
   bool operator==(const PageRef& other) const { return blob_ == other.blob_; }
@@ -231,13 +238,13 @@ struct PageStoreOptions {
   // and deterministically — the right mode for single-threaded tools and tests.
   bool background_compaction = false;
   // Non-empty = enable the spill tier (fourth budget rung): cold blobs can be
-  // evicted to append-only segment files under this directory and are read
-  // from there on access. The directory is created if missing; its segment
-  // files live only as long as the store (deleted on destruction). If the tier
-  // fails to open, the store comes up with spill disabled and spill_status()
-  // carries the error.
+  // evicted to append-only segments in this directory and are read from there
+  // on access. The directory is created if missing; the segments are unlinked
+  // as soon as they are created, so they live only as long as the store and
+  // never outlive the process. If the tier fails to open, the store comes up
+  // with spill disabled and spill_status() carries the error.
   std::string spill_dir;
-  // Spill segment file size (floor 64 KiB; see SpillTierOptions).
+  // Spill segment size (floor 64 KiB; see SpillTierOptions).
   uint64_t spill_segment_bytes = 4ull << 20;
 };
 
@@ -292,8 +299,9 @@ class PageStore {
   // Useful when a service parks (all checkpoints idle, no search running).
   uint64_t CompressAllCold();
 
-  // Spills one cold blob's payload to the disk tier (per-shard spill-candidate
-  // tails — blobs the compress rung already handled — visited round robin).
+  // Spills one cold blob's payload to the disk tier (the tails of the per-shard
+  // kCold lists — blobs the compress rung already handled — visited round
+  // robin).
   // Returns false when nothing is left to spill or the tier is
   // disabled/unavailable.
   bool SpillOneCold();
@@ -332,7 +340,7 @@ class PageStore {
     uint64_t spill_bytes = 0;             // payload bytes of those blobs
     uint64_t spills = 0;                  // lifetime spill-outs
     uint64_t faultbacks = 0;              // lifetime reads served from a spilled payload
-    uint64_t spill_segments = 0;            // live spill segment files
+    uint64_t spill_segments = 0;            // live spill segments
     uint64_t spill_segments_compacted = 0;  // lifetime segment compactions
 
     uint64_t bytes_live() const { return live_bytes; }
@@ -380,9 +388,8 @@ class PageStore {
   friend class PageRef;
 
   // Intrusive recency list threaded through PageBlob::lru_prev/lru_next: head
-  // is the most recently touched blob, tail the coldest. A blob sits on at
-  // most one list (PageBlob::kSpillCand says which); Remove of a blob on
-  // neither is a no-op because its links are null.
+  // is the most recently touched blob, tail the coldest. A blob's tier names
+  // the one list that holds it (ListOf), so Remove is only called on members.
   struct ColdList {
     internal::PageBlob* head = nullptr;
     internal::PageBlob* tail = nullptr;
@@ -395,8 +402,8 @@ class PageStore {
     std::vector<internal::PageBlob*> index;  // open-addressed, linear probing
     size_t index_used = 0;
     internal::PageBlob* free_list = nullptr;
-    ColdList lru;    // raw compressible blobs; the compress rung eats the tail
-    ColdList spill;  // blobs the compress rung is done with; the spill rung eats the tail
+    ColdList lru;    // kRaw blobs; the compress rung eats the tail
+    ColdList spill;  // kCold blobs; the spill rung eats the tail
   };
 
   // Atomic mirror of Stats (stats() flattens this into the POD snapshot).
@@ -451,13 +458,13 @@ class PageStore {
   void IndexGrowLocked(Shard& shard);
   internal::PageBlob* IndexFindLocked(Shard& shard, uint64_t hash, const void* src);
 
-  // Cold-list admission: each list keeps its own filter.
-  void LruPushFrontLocked(Shard& shard, internal::PageBlob* blob);
-  void SpillCandPushFrontLocked(Shard& shard, internal::PageBlob* blob);
-  // Takes the blob off whichever cold list holds it.
-  void UnlistLocked(Shard& shard, internal::PageBlob* blob);
-  // Moves a listed blob to the warm end of its list.
-  void TouchLocked(Shard& shard, internal::PageBlob* blob);
+  // The list that holds a blob of `tier`, or null for kSpilled and kPinned.
+  static ColdList* ListOf(Shard& shard, internal::PageBlob::Tier tier);
+  // Moves a blob to `tier` and onto the warm end of that tier's list (moving
+  // to its own tier just refreshes its recency). The one routine that changes
+  // a blob's tier or list: publish, compress, spill, recycle and the
+  // dedup-hit touch all go through it.
+  void MoveLocked(Shard& shard, internal::PageBlob* blob, internal::PageBlob::Tier tier);
 
   // The blob's raw page bytes: the resident payload itself, or `scratch`
   // (kPageSize bytes) after decoding a compressed or spilled payload into it.

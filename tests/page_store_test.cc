@@ -357,8 +357,8 @@ TEST(PageStoreCompressionTest, IncompressibleBlobsAreNotRetried) {
   EXPECT_EQ(store.CompressAllCold(), 0u);
   uint64_t attempts = store.stats().compression_attempts;
   EXPECT_GT(attempts, 0u);
-  // A dedup hit re-touches the blob; the known-incompressible flag must keep
-  // it off the cold list so later passes do not re-run the compressor.
+  // A dedup hit re-touches the blob; its kCold tier must keep it off the raw
+  // LRU so later passes do not re-run the compressor.
   PageRef again = store.Publish(noise.data());
   EXPECT_EQ(again, ref);
   EXPECT_EQ(store.CompressAllCold(), 0u);

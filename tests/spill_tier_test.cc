@@ -1,9 +1,12 @@
 // Spill tier (the budget ladder's fourth rung):
 //   * SpillTier unit coverage — append/read/free round trips, segment rollover
 //     and compaction, option validation;
-//   * crash model — a truncated or corrupt leftover segment makes Open fail
-//     with a clean IoError (file left as evidence, no UB); a valid stale
-//     segment is reclaimed silently;
+//   * lifetime — segments are nameless from the moment they exist, so the
+//     spill directory never holds one, and Open reads and touches no file it
+//     did not write;
+//   * full disk — a segment whose space cannot be reserved fails the spill
+//     cleanly: the blob stays resident and readable, and spilling resumes
+//     once space returns;
 //   * rung ordering — PageStore::ShrinkTo meets a budget reachable by
 //     compression alone without touching disk, and only reaches for the spill
 //     rung when compression is exhausted; inline and background_compaction
@@ -24,10 +27,14 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -158,8 +165,8 @@ TEST(SpillTierTest, AppendReadFreeRoundTrip) {
   FillNoisePage(a, 1, 1);
   FillNoisePage(b, 1, 2);
 
-  SpillRecord* ra = tier->Append(0, a, kPageSize, 0);
-  SpillRecord* rb = tier->Append(0, b, kPageSize, 0);
+  SpillRecord* ra = tier->Append(a, kPageSize, 0);
+  SpillRecord* rb = tier->Append(b, kPageSize, 0);
   ASSERT_NE(ra, nullptr);
   ASSERT_NE(rb, nullptr);
   EXPECT_NE(ra, rb);
@@ -200,7 +207,7 @@ TEST(SpillTierTest, SegmentRolloverAndCompactionKeepRecordsReadable) {
   uint8_t buf[kPageSize];
   for (int i = 0; i < kCount; ++i) {
     FillNoisePage(buf, 7, static_cast<uint64_t>(i));
-    recs[i] = tier->Append(0, buf, kPageSize, 0);
+    recs[i] = tier->Append(buf, kPageSize, 0);
     ASSERT_NE(recs[i], nullptr);
   }
   SpillTier::Stats stats = tier->stats();
@@ -230,81 +237,83 @@ TEST(SpillTierTest, SegmentRolloverAndCompactionKeepRecordsReadable) {
   EXPECT_EQ(stats.live_records, 0u);
 }
 
-TEST(SpillTierTest, TruncatedSegmentFailsOpenCleanly) {
-  ScopedSpillDir tmp;
-  std::string dir = tmp.Sub("tier");
-  ASSERT_EQ(mkdir(dir.c_str(), 0755), 0);
-  std::string seg = dir + "/seg-000000.lwspill";
-
-  // A header that claims a full segment over a file that is only one page:
-  // torn mid-write. Open must refuse with IoError and leave the file intact.
-  {
-    std::FILE* f = std::fopen(seg.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    uint32_t magic = SpillTier::kSegmentMagic;
-    uint32_t version = SpillTier::kFormatVersion;
-    uint64_t segment_bytes = SpillTier::kMinSegmentBytes;
-    std::fwrite(&magic, sizeof(magic), 1, f);
-    std::fwrite(&version, sizeof(version), 1, f);
-    std::fwrite(&segment_bytes, sizeof(segment_bytes), 1, f);
-    std::vector<uint8_t> pad(kPageSize - SpillTier::kSegmentHeaderBytes, 0);
-    std::fwrite(pad.data(), 1, pad.size(), f);
-    std::fclose(f);
+// Names in `dir`, sorted, without "." and "..".
+std::vector<std::string> ListDir(const std::string& dir) {
+  std::vector<std::string> names;
+  DIR* d = opendir(dir.c_str());
+  if (d == nullptr) {
+    return names;
   }
-  SpillTierOptions options;
-  options.dir = dir;
-  auto tier_or = SpillTier::Open(options);
-  ASSERT_FALSE(tier_or.ok());
-  EXPECT_EQ(tier_or.status().code(), ErrorCode::kIoError);
-  struct stat st;
-  EXPECT_EQ(stat(seg.c_str(), &st), 0) << "torn segment must be left as evidence";
-
-  // A full-size file with a corrupt record header (nonzero garbage where a
-  // record magic should be) is equally refused.
-  {
-    std::FILE* f = std::fopen(seg.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    uint32_t magic = SpillTier::kSegmentMagic;
-    uint32_t version = SpillTier::kFormatVersion;
-    uint64_t segment_bytes = SpillTier::kMinSegmentBytes;
-    std::fwrite(&magic, sizeof(magic), 1, f);
-    std::fwrite(&version, sizeof(version), 1, f);
-    std::fwrite(&segment_bytes, sizeof(segment_bytes), 1, f);
-    std::vector<uint8_t> rest(SpillTier::kMinSegmentBytes - SpillTier::kSegmentHeaderBytes, 0);
-    rest[0] = 0xde;  // not a record magic, not the zero end-marker
-    std::fwrite(rest.data(), 1, rest.size(), f);
-    std::fclose(f);
+  while (struct dirent* e = readdir(d)) {
+    if (std::strcmp(e->d_name, ".") != 0 && std::strcmp(e->d_name, "..") != 0) {
+      names.push_back(e->d_name);
+    }
   }
-  tier_or = SpillTier::Open(options);
-  ASSERT_FALSE(tier_or.ok());
-  EXPECT_EQ(tier_or.status().code(), ErrorCode::kIoError);
+  closedir(d);
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
-TEST(SpillTierTest, ValidStaleSegmentIsReclaimedOnOpen) {
+std::vector<uint8_t> ReadFile(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return bytes;
+  }
+  uint8_t chunk[1024];
+  size_t n = 0;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    bytes.insert(bytes.end(), chunk, chunk + n);
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+// The tier is scratch space private to one process: Open succeeds over a
+// file it did not write and leaves it byte for byte alone, and the tier's own
+// segments never appear in the directory, neither while it runs nor after it
+// is gone.
+TEST(SpillTierTest, SegmentsAreNamelessAndForeignFilesAreLeftAlone) {
   ScopedSpillDir tmp;
-  std::string dir = tmp.Sub("tier");
+  const std::string dir = tmp.Sub("tier");
   ASSERT_EQ(mkdir(dir.c_str(), 0755), 0);
-  std::string seg = dir + "/seg-000000.lwspill";
+  const std::string name = "seg-000000.lwspill";
+  std::vector<uint8_t> garbage(kPageSize + 123, 0xde);
+  FillNoisePage(garbage.data(), 41, 0);
   {
-    // A well-formed empty segment left by a crashed previous instance.
-    std::FILE* f = std::fopen(seg.c_str(), "wb");
+    std::FILE* f = std::fopen((dir + "/" + name).c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    uint32_t magic = SpillTier::kSegmentMagic;
-    uint32_t version = SpillTier::kFormatVersion;
-    uint64_t segment_bytes = SpillTier::kMinSegmentBytes;
-    std::fwrite(&magic, sizeof(magic), 1, f);
-    std::fwrite(&version, sizeof(version), 1, f);
-    std::fwrite(&segment_bytes, sizeof(segment_bytes), 1, f);
-    std::vector<uint8_t> rest(SpillTier::kMinSegmentBytes - SpillTier::kSegmentHeaderBytes, 0);
-    std::fwrite(rest.data(), 1, rest.size(), f);
+    ASSERT_EQ(std::fwrite(garbage.data(), 1, garbage.size(), f), garbage.size());
     std::fclose(f);
   }
-  SpillTierOptions options;
-  options.dir = dir;
-  auto tier_or = SpillTier::Open(options);
-  ASSERT_TRUE(tier_or.ok()) << tier_or.status().ToString();
-  struct stat st;
-  EXPECT_NE(stat(seg.c_str(), &st), 0) << "stale segment should be deleted by Open";
+  const std::vector<std::string> only_foreign = {name};
+  {
+    SpillTierOptions options;
+    options.dir = dir;
+    options.segment_bytes = SpillTier::kMinSegmentBytes;
+    auto tier_or = SpillTier::Open(options);
+    ASSERT_TRUE(tier_or.ok()) << tier_or.status().ToString();
+    std::unique_ptr<SpillTier> tier = std::move(*tier_or);
+    EXPECT_EQ(ReadFile(dir + "/" + name), garbage);
+
+    uint8_t buf[kPageSize];
+    std::vector<SpillRecord*> recs;
+    for (uint64_t i = 0; i < 45; ++i) {
+      FillNoisePage(buf, 43, i);
+      recs.push_back(tier->Append(buf, kPageSize, 0));
+      ASSERT_NE(recs.back(), nullptr);
+    }
+    EXPECT_GE(tier->stats().segments, 3u);
+    EXPECT_EQ(ListDir(dir), only_foreign);
+    uint8_t expect[kPageSize];
+    for (uint64_t i = 0; i < recs.size(); ++i) {
+      FillNoisePage(expect, 43, i);
+      tier->Read(recs[i], buf);
+      EXPECT_EQ(std::memcmp(buf, expect, kPageSize), 0) << "record " << i;
+    }
+  }
+  EXPECT_EQ(ListDir(dir), only_foreign);
+  EXPECT_EQ(ReadFile(dir + "/" + name), garbage);
 }
 
 // --- Store integration ------------------------------------------------------------
@@ -496,6 +505,63 @@ TEST(SpillStoreTest, ColdReadsDecodeWhereTheBlobLies) {
   // A republish hit must not put a spilled blob on the raw LRU: the compress
   // rung would read its null payload.
   EXPECT_EQ(store.CompressAllCold(), 0u);
+}
+
+// A segment whose space cannot be reserved fails the spill, not a later
+// write: Append returns null, the blob stays resident and reads back exactly,
+// and the spill rung works again once space returns. RLIMIT_FSIZE below the
+// segment size stands in for a full disk (posix_fallocate then fails with
+// EFBIG instead of ENOSPC); the limit and the ignored SIGXFSZ are settings of
+// this test process only, restored before any assertion.
+TEST(SpillStoreTest, SegmentThatCannotBeAllocatedLeavesBlobsResident) {
+  ScopedSpillDir tmp;
+  PageStoreOptions options;
+  options.spill_dir = tmp.Sub("store");
+  options.spill_segment_bytes = SpillTier::kMinSegmentBytes;
+  PageStore store(options);
+  ASSERT_TRUE(store.spill_enabled()) << store.spill_status().ToString();
+
+  constexpr uint32_t kCount = 64;
+  uint8_t buf[kPageSize];
+  std::vector<PageRef> refs;
+  for (uint32_t i = 0; i < kCount; ++i) {
+    FillNoisePage(buf, 47, i);
+    refs.push_back(store.Publish(buf));
+  }
+  auto expect_exact = [&refs](bool spilled) {
+    uint8_t expect[kPageSize], out[kPageSize];
+    for (uint32_t i = 0; i < kCount; ++i) {
+      FillNoisePage(expect, 47, i);
+      refs[i].CopyTo(out);
+      EXPECT_EQ(std::memcmp(out, expect, kPageSize), 0) << "page " << i;
+      EXPECT_EQ(refs[i].spilled(), spilled) << "page " << i;
+    }
+  };
+
+  struct rlimit saved = {};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+  struct rlimit limited = saved;
+  limited.rlim_cur = SpillTier::kMinSegmentBytes / 2;
+  void (*saved_handler)(int) = std::signal(SIGXFSZ, SIG_IGN);
+  const int limit_rc = setrlimit(RLIMIT_FSIZE, &limited);
+  store.ShrinkTo(0);
+  const PageStore::Stats full = store.stats();
+  const int restore_rc = setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, saved_handler);
+  ASSERT_EQ(limit_rc, 0);
+  ASSERT_EQ(restore_rc, 0);
+
+  EXPECT_EQ(full.spills, 0u);
+  EXPECT_EQ(full.spilled_blobs, 0u);
+  EXPECT_EQ(full.spill_segments, 0u);
+  expect_exact(false);
+
+  store.ShrinkTo(0);
+  const PageStore::Stats spilled = store.stats();
+  EXPECT_EQ(spilled.spills, kCount);
+  EXPECT_EQ(spilled.spilled_blobs, kCount);
+  expect_exact(true);
+  store.ReleaseBatch(refs);
 }
 
 TEST(SpillStoreTest, BudgetLadderSpillsOnlyAfterCompressionIsExhausted) {
@@ -757,13 +823,6 @@ void RunE15(SnapshotMode mode, const std::string& spill_dir, uint64_t budget, E1
   std::vector<Checkpoint> parked = session.TakeNewCheckpoints();
   ASSERT_EQ(parked.size(), static_cast<size_t>(kE15Branches));
 
-  if (budget != 0) {
-    // The DFS driver's final unwind faults a handful of shared pages back in
-    // *after* the last park's enforcement. A long-running service parks and
-    // idles at this point, and its host's ladder runs once more; mirror that
-    // before measuring steady-state residency.
-    store->ShrinkTo(budget);
-  }
   PageStore::Stats stats = store->stats();
   out->live_after_park = stats.bytes_live();
   out->logical_after_park = stats.bytes_logical();
